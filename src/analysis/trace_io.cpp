@@ -639,6 +639,19 @@ constexpr std::size_t kRunWireBytes = 17;
 // Minimum v4 bytes per domain entry: three id varints, mode, count varint.
 constexpr std::size_t kMinV4DomainBytes = 6;
 
+// Pre-allocation bound on a v4/v5 record count, given the body bytes left
+// after the count field.  v4 lower-bounds each record's wire footprint
+// directly (kMinV4RecordBytes).  v5's deflated columns can legitimately
+// shrink far below that, so the bound backs off by deflate's maximum
+// expansion (~1032:1): the thirteen column blocks still carry at least
+// ~13 compressed bytes per 1032 records, so remaining*80 safely
+// over-approximates the representable count while still rejecting a lying
+// header before anything is sized from it.
+std::uint64_t max_v4_record_count(std::size_t remaining, bool column_blocks) {
+  return column_blocks ? static_cast<std::uint64_t>(remaining) * 80
+                       : remaining / kMinV4RecordBytes;
+}
+
 // Walks one segment's structure without materializing it and returns its
 // byte length.  WireError (underflow) means the segment's tail has not been
 // written yet; TraceIoError means structural corruption.  v4 segments carry
@@ -928,17 +941,7 @@ ColumnBundle decode_segment_v4_columns(WireCursor& in,
   }
 
   const std::uint64_t count64 = in.read_varint();
-  // Pre-allocation bound on the record count.  v4 lower-bounds each
-  // record's wire footprint directly (kMinV4RecordBytes).  v5's deflated
-  // columns can legitimately shrink far below that, so the bound backs
-  // off by deflate's maximum expansion (~1032:1): the thirteen column
-  // blocks still carry at least ~13 compressed bytes per 1032 records,
-  // so remaining*80 safely over-approximates the representable count
-  // while still rejecting a lying header before any resize().
-  const std::uint64_t max_count =
-      column_blocks ? static_cast<std::uint64_t>(in.remaining()) * 80
-                    : in.remaining() / kMinV4RecordBytes;
-  if (count64 > max_count) {
+  if (count64 > max_v4_record_count(in.remaining(), column_blocks)) {
     throw WireError("wire underflow");
   }
   const auto count = static_cast<std::size_t>(count64);
@@ -1513,26 +1516,39 @@ std::uint64_t trace_segment_record_count(
       throw TraceIoError("unsupported trace version " +
                          std::to_string(version));
     }
+    // The count is untrusted: callers size allocations from it, so it must
+    // pass the same structural bound the decoders enforce.
+    const auto too_many = [] {
+      return TraceIoError("segment record count exceeds its body");
+    };
     if (version >= 4) {
-      in.skip(8);   // body length
-      in.skip(16);  // epoch + dropped
-      const std::uint64_t domain_count = in.read_varint();
-      if (domain_count > in.remaining() / kMinV4DomainBytes) {
+      const std::uint64_t body_length = in.read_u64();
+      if (body_length > in.remaining()) throw WireError("wire underflow");
+      WireCursor body(segment.data() + in.position(),
+                      static_cast<std::size_t>(body_length));
+      body.skip(16);  // epoch + dropped
+      const std::uint64_t domain_count = body.read_varint();
+      if (domain_count > body.remaining() / kMinV4DomainBytes) {
         throw WireError("wire underflow");
       }
       for (std::uint64_t i = 0; i < domain_count; ++i) {
-        in.read_varint();  // process id
-        in.read_varint();  // node id
-        in.read_varint();  // type id
-        in.read_u8();      // mode
-        in.read_varint();  // per-domain record count
+        body.read_varint();  // process id
+        body.read_varint();  // node id
+        body.read_varint();  // type id
+        body.read_u8();      // mode
+        body.read_varint();  // per-domain record count
       }
-      const std::uint64_t string_count = in.read_varint();
-      if (string_count > in.remaining()) throw WireError("wire underflow");
+      const std::uint64_t string_count = body.read_varint();
+      if (string_count > body.remaining()) throw WireError("wire underflow");
       for (std::uint64_t i = 0; i < string_count; ++i) {
-        in.skip(static_cast<std::size_t>(in.read_varint()));
+        body.skip(static_cast<std::size_t>(body.read_varint()));
       }
-      return in.read_varint();
+      const std::uint64_t count = body.read_varint();
+      if (count > max_v4_record_count(body.remaining(),
+                                      version >= kTraceFormatV5)) {
+        throw too_many();
+      }
+      return count;
     }
     in.skip(16);  // epoch + dropped
     const std::uint32_t domain_count = in.read_u32();
@@ -1542,7 +1558,9 @@ std::uint64_t trace_segment_record_count(
     in.skip(domain_count * kDomainWireBytes);
     const std::uint32_t string_count = in.read_u32();
     for (std::uint32_t i = 0; i < string_count; ++i) in.skip(in.read_u32());
-    return in.read_u64();
+    const std::uint64_t count = in.read_u64();
+    if (count > in.remaining() / kRecordWireBytes) throw too_many();
+    return count;
   } catch (const WireError& e) {
     throw TraceIoError(std::string("corrupt trace segment: ") + e.what());
   }

@@ -180,7 +180,10 @@ ColumnBundle decode_trace_segment_columns(
 // Reads one complete segment's total record count from its header without
 // decoding the record payload -- what a relay tier needs to account for
 // the segments it forwards (or sheds) without paying for a full decode.
-// Throws TraceIoError if `segment` is not a well-formed segment prefix.
+// The count is checked against the same structural bound the decoders
+// enforce before anything is allocated, so callers may size buffers from
+// it.  Throws TraceIoError if `segment` is not one well-formed segment or
+// its header claims more records than its body could hold.
 std::uint64_t trace_segment_record_count(
     std::span<const std::uint8_t> segment);
 

@@ -55,13 +55,15 @@ void WorkerPool::helper_loop() {
       cv_start_.wait(lock, [&] { return stop_ || job_id_ != seen; });
       if (stop_) return;
       seen = job_id_;
+      if (!live_) continue;  // woke after the job ended: nothing to join
+      ++joined_;
       fn = fn_;
       n = n_;
     }
     run_slice(*fn, n);
     {
       std::lock_guard lock(mu_);
-      if (--running_ == 0) cv_done_.notify_all();
+      if (--joined_ == 0) cv_done_.notify_all();
     }
   }
 }
@@ -80,15 +82,16 @@ void WorkerPool::parallel_for(std::size_t n,
     std::lock_guard lock(mu_);
     fn_ = &fn;
     n_ = n;
-    running_ = helpers_.size();
+    live_ = true;
     ++job_id_;
   }
   cv_start_.notify_all();
   run_slice(fn, n);
-  {
-    std::unique_lock lock(mu_);
-    cv_done_.wait(lock, [&] { return running_ == 0; });
-  }
+  // Every item is claimed: close the job to late wakers, then wait only
+  // for the helpers still finishing items they claimed.
+  std::unique_lock lock(mu_);
+  live_ = false;
+  cv_done_.wait(lock, [&] { return joined_ == 0; });
   if (error_) std::rethrow_exception(error_);
 }
 

@@ -13,14 +13,19 @@
 // runs fn(0..n-1) with the calling thread participating, distributes items
 // via one shared atomic cursor (items are expected to be coarse -- a chain
 // rebuild, a shard partition, a trace segment), and returns when every item
-// finished.  The first exception a worker catches is rethrown on the
-// caller.  Calls are serialized: concurrent parallel_for invocations queue
-// behind one another rather than interleave, which keeps the pool safe to
-// share process-wide (WorkerPool::shared()).
+// finished.  A helper counts itself into a job only when it wakes while the
+// job is still live, so the caller waits for claimed items and for helpers
+// that joined, never for a helper still asleep; one that wakes after the
+// job ended skips it.  The first exception a worker catches is rethrown on
+// the caller.  Calls are serialized: concurrent parallel_for invocations
+// queue behind one another rather than interleave, which keeps the pool
+// safe to share process-wide (WorkerPool::shared()).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -63,7 +68,8 @@ class WorkerPool {
   std::uint64_t job_id_{0};
   const std::function<void(std::size_t)>* fn_{nullptr};
   std::size_t n_{0};
-  std::size_t running_{0};
+  bool live_{false};       // helpers may still join the current job
+  std::size_t joined_{0};  // helpers inside the current job
   bool stop_{false};
   std::atomic<std::size_t> next_{0};
   std::exception_ptr error_;

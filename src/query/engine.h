@@ -8,16 +8,24 @@
 // QueryStats counters expose exactly that, so tests can assert pruning
 // happened rather than trust that it did.
 //
-// Execution decodes each opened file segment by segment (column-form for
-// v4/v5, record-major for v2/v3), gathers call events per chain *across*
-// files -- rotation can split a chain mid-call, and catalog order keeps
-// sealed files in write order -- sorts each chain by event number, and
-// stack-pairs open/close events into spans (the call_tree.cpp pairing,
-// minus the tree).  Aggregations then run over the spans that pass the
-// window and `where` filters.  Results are deterministic: group rows are
-// emitted in sorted key order, and percentiles are nearest-rank over the
-// fully sorted latency vector, so shard count, compression, and varint
-// kernel never change a byte of output.
+// Execution reads each opened file in one go and lists its segments; each
+// segment's header record count (bounded before anything is sized from it)
+// reserves its slice of one compact row array.  The segments then decode
+// in parallel on WorkerPool::shared() (inline for a query under ~64k
+// rows) -- column form for v4/v5, v2/v3 decoded record-major and
+// transcoded -- each straight into its slice, keeping only its string
+// table and chain runs; under a required `chain ==` only that chain's runs
+// are filled.  A serial pass interns the segment tables into one name
+// table, groups rows per chain *across* segments and files -- rotation can
+// split a chain, even a single call, and catalog order keeps sealed files
+// in write order -- sorts a chain by event number only when it arrived
+// out of order, stack-pairs open/close events into spans (the
+// call_tree.cpp pairing, minus the tree) comparing names by id, and folds
+// each span that passes the window and `where` filters straight into its
+// group.  Results are deterministic: group rows are emitted in sorted key
+// order, and percentiles are nearest-rank over the fully sorted latency
+// vector, so worker count, shard count, compression, and varint kernel
+// never change a byte of output.
 #pragma once
 
 #include <optional>
@@ -33,8 +41,10 @@ struct QueryStats {
   std::size_t files_pruned{0};     // skipped via the catalog
   std::size_t files_opened{0};     // read and decoded
   std::size_t segments_decoded{0};
-  std::uint64_t records_scanned{0};
-  std::uint64_t spans_total{0};    // completed spans reconstructed
+  std::uint64_t records_scanned{0};  // every decoded record
+  // Completed spans reconstructed.  Under a required `chain ==` only that
+  // chain's records are paired, so only the spans the query can match.
+  std::uint64_t spans_total{0};
   std::uint64_t spans_matched{0};  // passed window + where
 };
 

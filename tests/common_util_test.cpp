@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include "common/clock.h"
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/work.h"
+#include "common/worker_pool.h"
 
 namespace causeway {
 namespace {
@@ -141,6 +143,58 @@ TEST(Queue, ManyProducersManyConsumers) {
   const long n = kProducers * kPerProducer;
   EXPECT_EQ(count.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+TEST(WorkerPool, BackToBackSmallJobsRunEveryIndexOnce) {
+  // Two items, three helpers: most helpers wake after the job is done.  A
+  // late waker must skip the job, never run a stale `fn` -- each call's
+  // function object lives on this frame only for that call, so a stale
+  // call would show up as a use-after-scope under ASan.
+  WorkerPool pool(3);
+  for (int call = 0; call < 10'000; ++call) {
+    std::atomic<int> hits[2] = {0, 0};
+    pool.parallel_for(2, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    ASSERT_EQ(hits[0].load(), 1) << "call " << call;
+    ASSERT_EQ(hits[1].load(), 1) << "call " << call;
+  }
+}
+
+TEST(WorkerPool, RethrowsTheItemException) {
+  WorkerPool pool(3);
+  std::atomic<int> ran{0};
+  try {
+    pool.parallel_for(64, [&ran](std::size_t i) {
+      ran.fetch_add(1);
+      if (i == 17) throw std::runtime_error("item 17");
+    });
+    FAIL() << "the item's exception must reach the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "item 17");
+  }
+  EXPECT_EQ(ran.load(), 64);  // the other items still ran
+  // When several items throw, exactly one exception is rethrown, and the
+  // pool stays usable afterwards.
+  EXPECT_THROW(pool.parallel_for(
+                   8, [](std::size_t) { throw std::runtime_error("all"); }),
+               std::runtime_error);
+  std::atomic<int> after{0};
+  pool.parallel_for(8, [&after](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
+}
+
+TEST(WorkerPool, SingleAndEmptyJobsRunInline) {
+  WorkerPool pool(3);
+  std::thread::id ran_on;
+  std::size_t index = 99;
+  pool.parallel_for(1, [&](std::size_t i) {
+    ran_on = std::this_thread::get_id();
+    index = i;
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(index, 0u);
+  bool called = false;
+  pool.parallel_for(0, [&called](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 TEST(Rng, Deterministic) {

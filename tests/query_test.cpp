@@ -1,16 +1,19 @@
 // Query-subsystem acceptance: tokenizer and parser (including every
-// type-checking rejection), span pairing and aggregation semantics, and the
-// catalog-driven planner pruning -- asserted through the QueryStats
-// counters, not trusted.
+// type-checking rejection), span pairing and aggregation semantics (also
+// across segments, out of event order, and from v3 segments), the bounded
+// header record count, and the catalog-driven planner pruning -- asserted
+// through the QueryStats counters, not trusted.
 #include "query/parser.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/trace_io.h"
+#include "common/wire.h"
 #include "query/engine.h"
 #include "store/store.h"
 
@@ -257,6 +260,10 @@ TEST(Engine, ChainEqualityAndWindow) {
             "count where chain == 00000000-0000-0001-0000-000000000003"),
         t.inputs());
     EXPECT_EQ(value(r, 0, 0), 1.0);
+    // A required chain filters at decode: every record is scanned, only
+    // the matching chain's spans are reconstructed.
+    EXPECT_EQ(r.stats.records_scanned, 16u);
+    EXPECT_EQ(r.stats.spans_total, 1u);
   }
   {
     // Window [2000, 3200] keeps only the second call (opens at 2000,
@@ -295,11 +302,146 @@ TEST(Engine, MissingInputThrows) {
       analysis::TraceIoError);
 }
 
+// Byte offset of a v4/v5 segment's record-count varint: past the fixed
+// header, the domain entries and the string table.
+std::size_t record_count_offset(const std::vector<std::uint8_t>& segment) {
+  WireCursor in(segment.data(), segment.size());
+  in.read_u32();  // magic
+  in.read_u32();  // version
+  in.read_u64();  // body length
+  in.read_u64();  // epoch
+  in.read_u64();  // dropped
+  const std::uint64_t domains = in.read_varint();
+  for (std::uint64_t i = 0; i < domains; ++i) {
+    in.read_varint();
+    in.read_varint();
+    in.read_varint();
+    in.read_u8();
+    in.read_varint();
+  }
+  const std::uint64_t strings = in.read_varint();
+  for (std::uint64_t i = 0; i < strings; ++i) {
+    in.skip(static_cast<std::size_t>(in.read_varint()));
+  }
+  return in.position();
+}
+
+// Re-encodes the segment's record count as `count`, keeping the body
+// length field consistent with the (possibly longer) varint.
+std::vector<std::uint8_t> patch_record_count(std::vector<std::uint8_t> segment,
+                                             std::uint64_t count) {
+  const std::size_t at = record_count_offset(segment);
+  WireCursor old_count(segment.data() + at, segment.size() - at);
+  old_count.read_varint();
+  WireBuffer patched;
+  patched.write_varint(count);
+  const auto& bytes = patched.bytes();
+  segment.erase(segment.begin() + static_cast<std::ptrdiff_t>(at),
+                segment.begin() +
+                    static_cast<std::ptrdiff_t>(at + old_count.position()));
+  segment.insert(segment.begin() + static_cast<std::ptrdiff_t>(at),
+                 bytes.begin(), bytes.end());
+  const std::uint64_t body = segment.size() - 16;
+  for (int b = 0; b < 8; ++b) {
+    segment[8 + b] = static_cast<std::uint8_t>(body >> (8 * b));
+  }
+  return segment;
+}
+
+TEST(Engine, LyingRecordCountIsRejectedBeforeAllocation) {
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("causeway_query_lying_" + std::to_string(::getpid()) + ".cwt");
+  auto logs = base_logs(1);
+  for (std::uint64_t c = 0; c < 4; ++c) {
+    add_call(logs, uuid(7, c), c * 10, 1'000, "Svc::Alpha", "get",
+             monitor::CallOutcome::kOk);
+  }
+  for (const std::uint32_t format :
+       {analysis::kTraceFormatV4, analysis::kTraceFormatV5}) {
+    const auto segment = analysis::encode_trace(logs, format);
+    ASSERT_EQ(analysis::trace_segment_record_count(segment), 16u);
+    // 2^40 records would be a ~60 TB row array: the header check must
+    // throw TraceIoError before anything is sized from it (an unchecked
+    // count surfaces as bad_alloc instead).  A count that passes the
+    // bound but disagrees with the body must throw TraceIoError too.
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    for (const std::uint64_t lie : {huge, std::uint64_t{17}}) {
+      const auto patched = patch_record_count(segment, lie);
+      if (lie == huge) {
+        EXPECT_THROW(analysis::trace_segment_record_count(patched),
+                     analysis::TraceIoError);
+      }
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(patched.data()),
+                  static_cast<std::streamsize>(patched.size()));
+      }
+      EXPECT_THROW(run_query(parse_query("count"), {path.string()}),
+                   analysis::TraceIoError)
+          << "format " << format << ", claimed " << lie;
+    }
+  }
+  fs::remove(path);
+}
+
+#if defined(CAUSEWAY_TEST_DATA_DIR)
+TEST(Engine, V3GoldenAnswersLikeItsV4Reencode) {
+  const std::string golden =
+      std::string(CAUSEWAY_TEST_DATA_DIR) + "/golden_v3.cwt";
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(golden, std::ios::binary);
+    ASSERT_TRUE(in) << golden;
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const fs::path v4 =
+      fs::temp_directory_path() /
+      ("causeway_query_v4_" + std::to_string(::getpid()) + ".cwt");
+  {
+    std::ofstream out(v4, std::ios::binary | std::ios::trunc);
+    for (const auto& logs : analysis::decode_trace_segments(bytes)) {
+      const auto segment =
+          analysis::encode_trace(logs, analysis::kTraceFormatV4);
+      out.write(reinterpret_cast<const char*>(segment.data()),
+                static_cast<std::streamsize>(segment.size()));
+    }
+  }
+  for (const char* text :
+       {"count, sum(latency), p99(latency)",
+        "count, max(latency) group by func",
+        "count where (iface =~ e or func =~ a) and not kind == oneway"}) {
+    const Query q = parse_query(text);
+    const QueryResult from_v3 = run_query(q, {golden});
+    const QueryResult from_v4 = run_query(q, {v4.string()});
+    EXPECT_EQ(render_csv(from_v3), render_csv(from_v4)) << text;
+    EXPECT_GT(from_v3.stats.spans_matched, 0u) << text;
+    EXPECT_EQ(from_v3.stats.records_scanned, from_v4.stats.records_scanned);
+  }
+  fs::remove(v4);
+}
+#endif
+
 // ------------------------------------------------------------- store plans
+
+// Three epochs with disjoint time ranges and distinct chains.
+std::vector<monitor::CollectedLogs> three_epochs() {
+  std::vector<monitor::CollectedLogs> epochs;
+  for (std::uint64_t e = 1; e <= 3; ++e) {
+    auto logs = base_logs(e);
+    add_call(logs, uuid(0xaa, e), 0, static_cast<std::int64_t>(e) * 100'000,
+             "Svc::Alpha", "get", monitor::CallOutcome::kOk);
+    epochs.push_back(std::move(logs));
+  }
+  return epochs;
+}
 
 struct ScratchStore {
   fs::path path;
-  explicit ScratchStore(const std::string& name, std::uint32_t format) {
+  ScratchStore(const std::string& name, std::uint32_t format,
+               const std::vector<monitor::CollectedLogs>& epochs =
+                   three_epochs()) {
     path = fs::temp_directory_path() /
            ("causeway_qstore_" + name + "_" + std::to_string(::getpid()));
     fs::remove_all(path);
@@ -307,14 +449,7 @@ struct ScratchStore {
     options.rotate_segments = 1;  // one sealed file per epoch
     options.trace_format = format;
     store::StoreWriter writer(path.string(), options);
-    // Three sealed files with disjoint time ranges and distinct chains.
-    for (std::uint64_t e = 1; e <= 3; ++e) {
-      auto logs = base_logs(e);
-      add_call(logs, uuid(0xaa, e), 0,
-               static_cast<std::int64_t>(e) * 100'000, "Svc::Alpha", "get",
-               monitor::CallOutcome::kOk);
-      writer.append(logs);
-    }
+    for (const auto& logs : epochs) writer.append(logs);
     writer.close();
   }
   ~ScratchStore() { fs::remove_all(path); }
@@ -343,6 +478,7 @@ TEST(Planner, RequiredChainPrunesViaDigest) {
   EXPECT_EQ(r.stats.files_total, 3u);
   EXPECT_GE(r.stats.files_pruned, 2u);  // digest may-contain is exact here
   EXPECT_LE(r.stats.files_opened, 1u);
+  EXPECT_EQ(r.stats.spans_total, 1u);  // only the required chain's spans
 }
 
 TEST(Planner, OredChainDoesNotPrune) {
@@ -365,6 +501,93 @@ TEST(Planner, CompressedAndUncompressedStoresAgreeByte) {
   const QueryResult r5 = run_query(q, v5.inputs());
   EXPECT_EQ(render_text(r5), render_text(r4));
   EXPECT_EQ(render_csv(r5), render_csv(r4));
+}
+
+// Splits one logs bundle's records into epochs by record index.
+std::vector<monitor::CollectedLogs> split_records(
+    const monitor::CollectedLogs& whole,
+    const std::vector<std::vector<std::size_t>>& epochs) {
+  std::vector<monitor::CollectedLogs> out;
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    auto logs = base_logs(e + 1);
+    for (const std::size_t i : epochs[e]) {
+      logs.records.push_back(whole.records[i]);
+    }
+    out.push_back(std::move(logs));
+  }
+  return out;
+}
+
+TEST(Planner, CallSplitAcrossSealedFilesPairs) {
+  // Stub and skeleton starts land in epoch 1, both ends in epoch 2: each
+  // epoch is sealed into its own file, and the call still pairs.
+  auto whole = base_logs(0);
+  add_call(whole, uuid(0xbb, 1), 0, 5'000, "Svc::Alpha", "get",
+           monitor::CallOutcome::kOk, 20);
+  ScratchStore s("split", analysis::kTraceFormatV5,
+                 split_records(whole, {{0, 1}, {2, 3}}));
+  const QueryResult r =
+      run_query(parse_query("count, sum(latency)"), s.inputs());
+  EXPECT_EQ(r.stats.files_opened, 2u);
+  EXPECT_EQ(r.stats.segments_decoded, 2u);
+  EXPECT_EQ(value(r, 0, 0), 1.0);
+  EXPECT_EQ(value(r, 0, 1), 100.0);  // 80 + the 20 pad
+}
+
+TEST(Planner, OutOfOrderChainPairsLikeInOrder) {
+  // Two calls on one chain (event numbers 1-4 and 5-8), stored once in
+  // order and once with even and odd event numbers dealt into two files,
+  // each file holding them in descending order.
+  auto whole = base_logs(0);
+  add_call(whole, uuid(0xcc, 1), 0, 1'000, "Svc::Alpha", "get",
+           monitor::CallOutcome::kOk);
+  add_call(whole, uuid(0xcc, 1), 4, 2'000, "Svc::Alpha", "put",
+           monitor::CallOutcome::kAppError, 50);
+  ScratchStore ordered("ordered", analysis::kTraceFormatV4,
+                       split_records(whole, {{0, 1, 2, 3, 4, 5, 6, 7}}));
+  ScratchStore shuffled("shuffled", analysis::kTraceFormatV4,
+                        split_records(whole, {{7, 5, 3, 1}, {6, 4, 2, 0}}));
+  const Query q =
+      parse_query("count, sum(latency), max(latency) group by func");
+  const QueryResult in_order = run_query(q, ordered.inputs());
+  const QueryResult out_of_order = run_query(q, shuffled.inputs());
+  EXPECT_EQ(render_csv(in_order),
+            "func,count,sum(latency),max(latency)\n"
+            "get,1,80,80\n"
+            "put,1,130,130\n");
+  EXPECT_EQ(render_csv(out_of_order), render_csv(in_order));
+  EXPECT_EQ(out_of_order.stats.spans_total, 2u);
+}
+
+TEST(Planner, LargeStoreTakesTheParallelDecode) {
+  // 8 epochs x 2,200 calls x 4 records = 70,400 rows: enough for the
+  // segments to decode on the worker pool rather than inline.
+  std::vector<monitor::CollectedLogs> epochs;
+  std::int64_t alpha_sum = 0, beta_sum = 0;
+  for (std::uint64_t e = 1; e <= 8; ++e) {
+    auto logs = base_logs(e);
+    for (std::uint64_t c = 0; c < 2'200; ++c) {
+      const bool alpha = c % 2 == 0;
+      const auto pad = static_cast<std::int64_t>(c % 7);
+      add_call(logs, uuid(e, c), 0,
+               static_cast<std::int64_t>(e * 10'000'000 + c * 1'000),
+               alpha ? "Svc::Alpha" : "Svc::Beta", "get",
+               monitor::CallOutcome::kOk, pad);
+      (alpha ? alpha_sum : beta_sum) += 80 + pad;
+    }
+    epochs.push_back(std::move(logs));
+  }
+  ScratchStore s("parallel", analysis::kTraceFormatV5, epochs);
+  const QueryResult r =
+      run_query(parse_query("count, sum(latency) group by iface"), s.inputs());
+  EXPECT_EQ(r.stats.segments_decoded, 8u);
+  EXPECT_EQ(r.stats.records_scanned, 70'400u);
+  EXPECT_EQ(r.stats.spans_total, 17'600u);
+  const std::string expected = "iface,count,sum(latency)\n"
+                               "Svc::Alpha,8800," + std::to_string(alpha_sum) +
+                               "\nSvc::Beta,8800," + std::to_string(beta_sum) +
+                               "\n";
+  EXPECT_EQ(render_csv(r), expected);
 }
 
 TEST(Planner, StaleCatalogSurfacesCleanly) {
