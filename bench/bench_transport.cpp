@@ -42,6 +42,10 @@ namespace {
 using namespace causeway;
 using Clock = std::chrono::steady_clock;
 
+// How long one pass may wait for the daemon to frame every segment it was
+// sent; a pass that loses segments fails here instead of spinning forever.
+constexpr std::chrono::seconds kFramingDeadline{60};
+
 struct CountingSink final : transport::DaemonSink {
   explicit CountingSink(bool decode) : decode_(decode) {}
   void on_segment(const transport::PeerInfo&,
@@ -121,7 +125,16 @@ RunResult run(std::string name, const std::string& listen_spec, bool decode,
       std::exit(1);
     }
     done += segments.size();
+    const auto deadline = Clock::now() + kFramingDeadline;
     while (sink.segments.load(std::memory_order_relaxed) < done) {
+      if (Clock::now() > deadline) {
+        std::fprintf(stderr,
+                     "FATAL: %s rep %d: daemon framed %zu of %zu segments "
+                     "within %lld s\n",
+                     r.name.c_str(), rep, sink.segments.load(), done,
+                     static_cast<long long>(kFramingDeadline.count()));
+        std::exit(1);
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     const auto t1 = Clock::now();

@@ -4,7 +4,7 @@
 // UpdateScope: the closed set of top-level trees whose folded contributions
 // must be subtracted and re-folded, plus the trees that stopped being
 // top-level (subtract only) and the raw chain list for per-chain passes
-// (timeline, anomaly detection).  Passes that accept an UpdateScope promise
+// (anomaly detection, the report's anomaly lines).  Passes that accept an UpdateScope promise
 // that update(everything) on a fresh instance equals the offline build --
 // the one-epoch degenerate case -- which is what makes incremental and
 // batch output byte-identical.

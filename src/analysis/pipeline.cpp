@@ -122,44 +122,28 @@ class ReportPass : public AnalysisPass {
   Report report_;
 };
 
+// The tools ask for a timeline once, at exit, so the pass only notes the
+// generation; entries() rebuilds from the DSCG when it has moved.
 class TimelinePass : public AnalysisPass {
  public:
   explicit TimelinePass(Dscg& dscg) : dscg_(dscg) {}
   std::string_view name() const override { return "timeline"; }
   void update(const LogDatabase&, const EpochInfo& info) override {
-    auto subtract = [&](std::uint64_t ord) {
-      auto it = imprints_.find(ord);
-      if (it == imprints_.end()) return;
-      for (const auto& e : it->second) entries_.erase(entries_.find(e));
-      imprints_.erase(it);
-      dirty_ = true;
-    };
-    for (std::uint64_t ord : info.scope.removed_roots) subtract(ord);
-    for (std::uint64_t ord : info.scope.affected_roots) subtract(ord);
-    for (std::uint64_t ord : info.scope.affected_roots) {
-      std::vector<TimelineEntry> fold;
-      gather_timeline(*dscg_.chains()[ord], fold);
-      for (const auto& e : fold) entries_.insert(e);
-      imprints_.emplace(ord, std::move(fold));
-      dirty_ = true;
-    }
+    generation_ = info.generation;
   }
   const std::vector<TimelineEntry>& entries() {
-    if (dirty_) {
-      cache_.assign(entries_.begin(), entries_.end());
-      dirty_ = false;
+    if (built_ != generation_) {
+      cache_ = build_timeline(dscg_);
+      built_ = generation_;
     }
     return cache_;
   }
 
  private:
   Dscg& dscg_;
-  // TimelineOrder is total, so the multiset iterates exactly like the
-  // offline sort of the same entries.
-  std::multiset<TimelineEntry, TimelineOrder> entries_;
-  std::unordered_map<std::uint64_t, std::vector<TimelineEntry>> imprints_;
+  std::uint64_t generation_{0};
+  std::uint64_t built_{~0ull};
   std::vector<TimelineEntry> cache_;
-  bool dirty_{false};
 };
 
 bool same_options(const ExportOptions& a, const ExportOptions& b) {

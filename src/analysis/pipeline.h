@@ -3,7 +3,10 @@
 // Everything downstream of the log database -- DSCG reconstruction,
 // latency/CPU annotation, anomaly detection, the CCSG, the
 // characterization report, timelines, exports -- is organized as a fixed
-// sequence of AnalysisPasses over one shared database.  Each ingested batch
+// sequence of AnalysisPasses over one shared database.  The fold passes
+// (CCSG, report) keep per-root accumulators; the timeline and export
+// passes only note the generation and rebuild from the DSCG when asked
+// for a render at a newer one.  Each ingested batch
 // (one collection drain epoch, one trace segment of a tailed file, or one
 // offline catch-up over many generations) advances the database generation;
 // the pipeline then runs every pass once with an EpochInfo describing what

@@ -1,6 +1,9 @@
 #include "analysis/report.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <set>
 #include <utility>
 
 #include "analysis/cpu.h"
@@ -17,14 +20,87 @@ using monitor::ProbeMode;
 
 std::string sv(std::string_view s) { return std::string(s); }
 
+// Report keys hold views into the database's intern pool and are split
+// into pieces; a label is built only when a row renders.
+template <std::size_t N>
+std::string join(const std::array<std::string_view, N>& pieces) {
+  std::string out;
+  for (std::string_view piece : pieces) out += piece;
+  return out;
+}
+
+// Three-way comparison of join(a) and join(b) without building either, so
+// keys sort exactly like the labels they print as.
+template <std::size_t N>
+int compare_joined(const std::array<std::string_view, N>& a,
+                   const std::array<std::string_view, N>& b) {
+  std::size_t i = 0, j = 0;
+  std::string_view x = a[0], y = b[0];
+  for (;;) {
+    while (x.empty() && ++i < N) x = a[i];
+    while (y.empty() && ++j < N) y = b[j];
+    if (x.empty() || y.empty()) {
+      return static_cast<int>(!x.empty()) - static_cast<int>(!y.empty());
+    }
+    const std::size_t n = std::min(x.size(), y.size());
+    if (const int c = x.substr(0, n).compare(y.substr(0, n))) return c;
+    x.remove_prefix(n);
+    y.remove_prefix(n);
+  }
+}
+
 // --- accumulator cells -------------------------------------------------
 // All exact: integer nanoseconds, counts, multisets keyed on exact values.
 // Doubles appear only in the render functions below.
 
+// An exact multiset of latencies: a sorted vector plus unsorted add and
+// remove logs, folded in (sort, merge, set_difference) only when order
+// statistics are needed, or when the logs outgrow twice the settled part
+// (which bounds their memory at an amortized O(log n) per value).
+struct LatencyBag {
+  std::vector<Nanos> sorted, added, removed;
+
+  void log(Nanos ns, bool add) {
+    (add ? added : removed).push_back(ns);
+    if (added.size() + removed.size() > 2 * sorted.size() + 4096) settle();
+  }
+  const std::vector<Nanos>& settle() {
+    if (!added.empty()) {
+      std::sort(added.begin(), added.end());
+      std::vector<Nanos> merged(sorted.size() + added.size());
+      std::merge(sorted.begin(), sorted.end(), added.begin(), added.end(),
+                 merged.begin());
+      sorted.swap(merged);
+      added.clear();
+    }
+    if (!removed.empty()) {
+      std::sort(removed.begin(), removed.end());
+      std::vector<Nanos> kept;
+      kept.reserve(sorted.size() - removed.size());
+      std::set_difference(sorted.begin(), sorted.end(), removed.begin(),
+                          removed.end(), std::back_inserter(kept));
+      sorted.swap(kept);
+      removed.clear();
+    }
+    return sorted;
+  }
+};
+
+// A function row's key, ordered as the string "iface::func" it prints as.
+struct FnKey {
+  std::string_view iface, func;
+  std::array<std::string_view, 3> joined() const {
+    return {iface, "::", func};
+  }
+  bool operator<(const FnKey& o) const {
+    return compare_joined(joined(), o.joined()) < 0;
+  }
+};
+
 struct FnCell {
   std::size_t calls{0};
   std::size_t failures{0};
-  std::map<Nanos, std::size_t> latency;  // multiset of per-call latencies
+  LatencyBag latency;  // per-call latencies
   Nanos self_cpu{0};
   Nanos desc_cpu{0};
 
@@ -46,14 +122,43 @@ struct CpuTypeCell {
   std::size_t n{0};  // contributing nodes, so zero sums survive subtraction
 };
 
-// Slowest-calls table key: latency descending, label ascending -- the
-// canonical tie-break that makes the table independent of fold order.
+// Slowest-calls table key: latency descending, then the label
+// "iface::func @process" ascending -- the canonical tie-break that makes
+// the table independent of fold order.
 struct SlowKey {
   Nanos latency{0};
-  std::string label;
+  std::string_view iface, func, process;
+  std::array<std::string_view, 5> joined() const {
+    return {iface, "::", func, " @", process};
+  }
   bool operator<(const SlowKey& o) const {
     if (latency != o.latency) return latency > o.latency;
-    return label < o.label;
+    return compare_joined(joined(), o.joined()) < 0;
+  }
+};
+
+// One call's contribution, kept so the tree's imprint can be subtracted.
+struct CallFact {
+  SlowKey slow;             // latency (when timed), function, server process
+  std::string_view caller;  // stub-side process of a cross-process call
+  std::uint64_t object_key{0};
+  Nanos self_cpu{0};
+  Nanos desc_cpu{0};
+  bool timed{false};
+  bool top_level{false};
+  bool failed{false};
+  bool cross_process{false};
+};
+
+// A tree in the slowest-calls index, keyed by its own slowest call; ties go
+// to the lowest root ordinal.
+struct SlowHead {
+  SlowKey worst;
+  std::uint64_t ordinal{0};
+  bool operator<(const SlowHead& o) const {
+    if (worst < o.worst) return true;
+    if (o.worst < worst) return false;
+    return ordinal < o.ordinal;
   }
 };
 
@@ -72,16 +177,13 @@ struct CriticalKey {
 
 // One top-level tree's folded contribution to every accumulator.
 struct Report::Imprint {
-  std::map<std::string, FnCell> functions;
-  std::map<std::string_view, std::size_t> process_calls;
-  std::map<std::pair<std::string_view, std::string_view>, EdgeCell> edges;
-  std::map<std::string_view, CpuTypeCell> cpu_by_type;
-  std::map<SlowKey, std::size_t> slow;
+  std::vector<CallFact> calls;  // timed calls first, slowest first
+  std::size_t timed{0};
+  std::vector<std::pair<std::string_view, Nanos>> cpu_by_type;  // per node
   std::size_t failures{0};
 
   // Topology contribution.  Depth/fanout maxima are per-tree, folded into
   // the accumulator's multiset of per-tree maxima.
-  std::size_t calls{0};
   std::size_t depth_sum{0};
   std::size_t max_depth{0};
   std::size_t fanout_sum{0};
@@ -93,27 +195,22 @@ struct Report::Imprint {
   std::size_t cross_process{0};
   std::size_t cross_thread{0};
   std::size_t cross_processor{0};
-  std::map<std::string_view, std::size_t> interfaces;
-  std::map<std::pair<std::string_view, std::string_view>, std::size_t>
-      function_ids;
-  std::map<std::pair<std::string_view, std::uint64_t>, std::size_t> objects;
-
-  std::map<Nanos, std::size_t> top_latency;  // depth-0 transaction latencies
   Nanos total_self_cpu{0};
 
-  // The tree's own worst critical path, pre-rendered at fold time; the
-  // report section just picks the globally worst entry.
+  // The tree's slowest transaction, whose critical path the report renders
+  // from the DSCG when this tree heads the index.
   bool has_critical{false};
   Nanos critical_total{0};
-  std::string critical_text;
 };
 
 struct Report::Acc {
-  std::map<std::string, FnCell> functions;
+  std::map<FnKey, FnCell> functions;
   std::map<std::string_view, std::size_t> process_calls;
   std::map<std::pair<std::string_view, std::string_view>, EdgeCell> edges;
   std::map<std::string_view, CpuTypeCell> cpu_by_type;
-  std::map<SlowKey, std::size_t> slow;
+  // Trees with timed calls, by their slowest call; the values point into
+  // the owning Imprints (stable: an entry is removed before its imprint).
+  std::map<SlowHead, const Imprint*> slow;
   std::size_t failures{0};
 
   std::size_t calls{0};
@@ -133,63 +230,59 @@ struct Report::Acc {
       function_ids;
   std::map<std::pair<std::string_view, std::uint64_t>, std::size_t> objects;
 
-  std::map<Nanos, std::size_t> top_latency;
+  LatencyBag top_latency;  // depth-0 transaction latencies
   Nanos total_self_cpu{0};
 
-  // Worst-first index over every root's pre-rendered critical path; the
-  // values point into the owning Imprints (stable: imprints are erased only
-  // after their index entry is removed).
-  std::map<CriticalKey, const std::string*> critical;
+  // Worst-first index over every root's slowest transaction.
+  std::set<CriticalKey> critical;
 
   // Pre-rendered anomaly lines per chain ordinal, refreshed for exactly the
   // chains a scope rebuilt; only chains that *have* anomalies appear.
   std::map<std::uint64_t, std::vector<std::string>> anomaly_lines;
+
+  std::vector<CallFact> scratch;  // fold buffer, so imprints size exactly
 };
 
 namespace {
 
-Report::Imprint fold_tree(const ChainTree& tree) {
+// The tree's slowest timed top-level call (the earliest on ties), or null.
+const CallNode* critical_top(const ChainTree& tree) {
+  const CallNode* best = nullptr;
+  for (const auto& top : tree.root->children) {
+    if (top->latency && (!best || *top->latency > *best->latency)) {
+      best = top.get();
+    }
+  }
+  return best;
+}
+
+Report::Imprint fold_tree(const ChainTree& tree,
+                          std::vector<CallFact>& scratch) {
   Report::Imprint imp;
+  scratch.clear();
   Dscg::visit_tree(tree, [&](const CallNode& node, int depth) {
-    FnCell& row =
-        imp.functions[sv(node.interface_name) + "::" + sv(node.function_name)];
-    row.calls += 1;
-    if (node.failed()) {
-      row.failures += 1;
-      ++imp.failures;
-    }
-    if (node.latency) {
-      row.latency[*node.latency] += 1;
-      imp.slow[SlowKey{*node.latency,
-                       sv(node.interface_name) + "::" +
-                           sv(node.function_name) + " @" +
-                           sv(node.server_process())}] += 1;
-      if (depth == 0) imp.top_latency[*node.latency] += 1;
-    }
-    row.self_cpu += node.self_cpu.total();
-    row.desc_cpu += node.descendant_cpu.total();
-    imp.total_self_cpu += node.self_cpu.total();
-    for (const auto& [type, ns] : node.self_cpu.by_type) {
-      CpuTypeCell& cell = imp.cpu_by_type[type];
-      cell.ns += ns;
-      cell.n += 1;
-    }
-    if (!node.server_process().empty()) {
-      imp.process_calls[node.server_process()] += 1;
-    }
     const auto& stub = node.record(monitor::EventKind::kStubStart);
     const auto& skel = node.record(monitor::EventKind::kSkelStart);
-    if (stub && skel && stub->process_name != skel->process_name) {
-      EdgeCell& edge = imp.edges[{stub->process_name, skel->process_name}];
-      edge.calls += 1;
-      if (node.latency) {
-        edge.latency_sum += *node.latency;
-        edge.latency_count += 1;
-      }
+    CallFact& call = scratch.emplace_back();
+    call.slow = {node.latency.value_or(0), node.interface_name,
+                 node.function_name, node.server_process()};
+    call.object_key = node.object_key;
+    call.self_cpu = node.self_cpu.total();
+    call.desc_cpu = node.descendant_cpu.total();
+    call.timed = node.latency.has_value();
+    call.top_level = depth == 0;
+    call.failed = node.failed();
+    call.cross_process =
+        stub && skel && stub->process_name != skel->process_name;
+    if (call.cross_process) call.caller = stub->process_name;
+    imp.timed += call.timed;
+    imp.failures += call.failed;
+    imp.total_self_cpu += call.self_cpu;
+    for (const auto& [type, ns] : node.self_cpu.by_type) {
+      imp.cpu_by_type.emplace_back(type, ns);
     }
 
     // Topology.
-    imp.calls += 1;
     const auto d = static_cast<std::size_t>(depth) + 1;
     imp.depth_sum += d;
     imp.max_depth = std::max(imp.max_depth, d);
@@ -207,64 +300,40 @@ Report::Imprint fold_tree(const ChainTree& tree) {
       case monitor::CallKind::kCollocated: ++imp.collocated_calls; break;
     }
     if (stub && skel) {
-      if (stub->process_name != skel->process_name) ++imp.cross_process;
+      if (call.cross_process) ++imp.cross_process;
       if (stub->thread_ordinal != skel->thread_ordinal) ++imp.cross_thread;
       if (stub->processor_type != skel->processor_type) ++imp.cross_processor;
     }
-    imp.interfaces[node.interface_name] += 1;
-    imp.function_ids[{node.interface_name, node.function_name}] += 1;
-    imp.objects[{node.interface_name, node.object_key}] += 1;
   });
+  std::sort(scratch.begin(), scratch.end(),
+            [](const CallFact& a, const CallFact& b) {
+              if (a.timed != b.timed) return a.timed;
+              return a.timed && a.slow < b.slow;
+            });
+  imp.calls = scratch;
 
-  // The tree's worst critical path (latency-annotated runs only), rendered
-  // here so the report section never has to walk the graph again.  Ties
-  // between top-level calls keep the earliest.
-  for (const auto& top : tree.root->children) {
-    if (!top->latency) continue;
-    const CriticalPath path = critical_path(*top);
-    if (path.steps.empty()) continue;
-    if (imp.has_critical && path.total() <= imp.critical_total) continue;
+  if (const CallNode* top = critical_top(tree)) {
     imp.has_critical = true;
-    imp.critical_total = path.total();
-    imp.critical_text = path.to_string();
-    if (const CriticalStep* hot = path.dominant()) {
-      imp.critical_text +=
-          strf("dominant frame: %s::%s (%.1f us exclusive of %.1f us "
-               "end-to-end)\n",
-               sv(hot->node->interface_name).c_str(),
-               sv(hot->node->function_name).c_str(),
-               static_cast<double>(hot->exclusive) / 1e3,
-               static_cast<double>(path.total()) / 1e3);
-    }
+    imp.critical_total = *top->latency;
   }
   return imp;
 }
 
-// summarize() over the exact multiset without expanding it: count, mean
-// from the integer sum, percentiles by cumulative-count lookup.  Cost is
-// the number of *distinct* values, not the number of calls.
-Summary summarize_multiset(const std::map<Nanos, std::size_t>& m) {
+// summarize() over the exact sorted multiset: count, mean from the integer
+// sum, nearest-rank interpolated percentiles.
+Summary summarize_sorted(const std::vector<Nanos>& v) {
   Summary s;
-  std::size_t n = 0;
-  Nanos total = 0;
-  std::vector<std::pair<double, std::size_t>> cum;  // value us, running count
-  cum.reserve(m.size());
-  for (const auto& [ns, count] : m) {
-    n += count;
-    total += ns * static_cast<Nanos>(count);
-    cum.emplace_back(static_cast<double>(ns) / 1e3, n);
-  }
+  const std::size_t n = v.size();
   s.count = n;
   if (n == 0) return s;
-  s.min = cum.front().first;
-  s.max = cum.back().first;
-  s.mean = static_cast<double>(total) / 1e3 / static_cast<double>(n);
+  Nanos total = 0;
+  for (Nanos ns : v) total += ns;
   const auto at = [&](std::size_t idx) {
-    const auto it = std::upper_bound(
-        cum.begin(), cum.end(), idx,
-        [](std::size_t v, const auto& e) { return v < e.second; });
-    return it->first;
+    return static_cast<double>(v[idx]) / 1e3;
   };
+  s.min = at(0);
+  s.max = at(n - 1);
+  s.mean = static_cast<double>(total) / 1e3 / static_cast<double>(n);
   const auto pct = [&](double p) {
     const double rank = p * static_cast<double>(n - 1);
     const std::size_t lo = static_cast<std::size_t>(rank);
@@ -278,94 +347,91 @@ Summary summarize_multiset(const std::map<Nanos, std::size_t>& m) {
   return s;
 }
 
-// Merge a refcounted multiset map: add counts, or subtract and erase when a
-// key's count reaches zero.
-template <typename Map>
-void merge_counts(Map& into, const Map& from, bool add) {
-  for (const auto& [key, count] : from) {
-    if (add) {
-      into[key] += count;
-    } else {
-      auto it = into.find(key);
-      it->second -= count;
-      if (it->second == 0) into.erase(it);
-    }
+// The key's cell: created when adding, found when subtracting (a subtracted
+// imprint was added before, so the cell exists).
+template <typename Map, typename Key>
+typename Map::iterator cell(Map& map, const Key& key, bool add) {
+  return add ? map.try_emplace(key).first : map.find(key);
+}
+
+// Adds one to a key's count, or subtracts one and erases it at zero.
+template <typename Map, typename Key>
+void count(Map& map, const Key& key, bool add) {
+  const auto it = cell(map, key, add);
+  if (add) {
+    ++it->second;
+  } else if (--it->second == 0) {
+    map.erase(it);
   }
 }
 
 void apply(Report::Acc& acc, const Report::Imprint& imp, std::uint64_t ordinal,
            bool add) {
-  for (const auto& [name, cell] : imp.functions) {
-    if (add) {
-      FnCell& row = acc.functions[name];
-      row.calls += cell.calls;
-      row.failures += cell.failures;
-      merge_counts(row.latency, cell.latency, true);
-      row.self_cpu += cell.self_cpu;
-      row.desc_cpu += cell.desc_cpu;
-      row.row_dirty = true;
-    } else {
-      auto it = acc.functions.find(name);
-      FnCell& row = it->second;
-      row.calls -= cell.calls;
-      row.failures -= cell.failures;
-      merge_counts(row.latency, cell.latency, false);
-      row.self_cpu -= cell.self_cpu;
-      row.desc_cpu -= cell.desc_cpu;
-      row.row_dirty = true;
-      if (row.calls == 0) acc.functions.erase(it);
-    }
-  }
-  if (imp.has_critical) {
-    const CriticalKey key{imp.critical_total, ordinal};
-    if (add) {
-      acc.critical.emplace(key, &imp.critical_text);
-    } else {
-      acc.critical.erase(key);
-    }
-  }
-  merge_counts(acc.process_calls, imp.process_calls, add);
-  for (const auto& [key, cell] : imp.edges) {
-    if (add) {
-      EdgeCell& edge = acc.edges[key];
-      edge.calls += cell.calls;
-      edge.latency_sum += cell.latency_sum;
-      edge.latency_count += cell.latency_count;
-    } else {
-      auto it = acc.edges.find(key);
-      it->second.calls -= cell.calls;
-      it->second.latency_sum -= cell.latency_sum;
-      it->second.latency_count -= cell.latency_count;
-      if (it->second.calls == 0) acc.edges.erase(it);
-    }
-  }
-  for (const auto& [type, cell] : imp.cpu_by_type) {
-    if (add) {
-      CpuTypeCell& c = acc.cpu_by_type[type];
-      c.ns += cell.ns;
-      c.n += cell.n;
-    } else {
-      auto it = acc.cpu_by_type.find(type);
-      it->second.ns -= cell.ns;
-      it->second.n -= cell.n;
-      if (it->second.n == 0) acc.cpu_by_type.erase(it);
-    }
-  }
-  merge_counts(acc.slow, imp.slow, add);
-  merge_counts(acc.top_latency, imp.top_latency, add);
-  merge_counts(acc.interfaces, imp.interfaces, add);
-  merge_counts(acc.function_ids, imp.function_ids, add);
-  merge_counts(acc.objects, imp.objects, add);
-
-  const auto flip = [add](std::size_t& into, std::size_t amount) {
+  const auto flip = [add](auto& into, auto amount) {
     if (add) {
       into += amount;
     } else {
       into -= amount;
     }
   };
+  for (const CallFact& call : imp.calls) {
+    const auto row_it =
+        cell(acc.functions, FnKey{call.slow.iface, call.slow.func}, add);
+    FnCell& row = row_it->second;
+    flip(row.calls, std::size_t{1});
+    flip(row.failures, std::size_t{call.failed});
+    flip(row.self_cpu, call.self_cpu);
+    flip(row.desc_cpu, call.desc_cpu);
+    if (call.timed) row.latency.log(call.slow.latency, add);
+    row.row_dirty = true;
+    if (row.calls == 0) acc.functions.erase(row_it);
+
+    if (call.timed && call.top_level) {
+      acc.top_latency.log(call.slow.latency, add);
+    }
+    if (!call.slow.process.empty()) {
+      count(acc.process_calls, call.slow.process, add);
+    }
+    if (call.cross_process) {
+      const auto edge_it =
+          cell(acc.edges, std::pair{call.caller, call.slow.process}, add);
+      EdgeCell& edge = edge_it->second;
+      flip(edge.calls, std::size_t{1});
+      if (call.timed) {
+        flip(edge.latency_sum, call.slow.latency);
+        flip(edge.latency_count, std::size_t{1});
+      }
+      if (edge.calls == 0) acc.edges.erase(edge_it);
+    }
+    count(acc.interfaces, call.slow.iface, add);
+    count(acc.function_ids, std::pair{call.slow.iface, call.slow.func}, add);
+    count(acc.objects, std::pair{call.slow.iface, call.object_key}, add);
+  }
+  for (const auto& [type, ns] : imp.cpu_by_type) {
+    const auto it = cell(acc.cpu_by_type, type, add);
+    flip(it->second.ns, ns);
+    flip(it->second.n, std::size_t{1});
+    if (it->second.n == 0) acc.cpu_by_type.erase(it);
+  }
+  if (imp.timed > 0) {
+    const SlowHead head{imp.calls.front().slow, ordinal};
+    if (add) {
+      acc.slow.emplace(head, &imp);
+    } else {
+      acc.slow.erase(head);
+    }
+  }
+  if (imp.has_critical) {
+    const CriticalKey key{imp.critical_total, ordinal};
+    if (add) {
+      acc.critical.insert(key);
+    } else {
+      acc.critical.erase(key);
+    }
+  }
+
   flip(acc.failures, imp.failures);
-  flip(acc.calls, imp.calls);
+  flip(acc.calls, imp.calls.size());
   flip(acc.depth_sum, imp.depth_sum);
   flip(acc.fanout_sum, imp.fanout_sum);
   flip(acc.non_leaf, imp.non_leaf);
@@ -375,21 +441,10 @@ void apply(Report::Acc& acc, const Report::Imprint& imp, std::uint64_t ordinal,
   flip(acc.cross_process, imp.cross_process);
   flip(acc.cross_thread, imp.cross_thread);
   flip(acc.cross_processor, imp.cross_processor);
-  if (imp.calls > 0) {
-    if (add) {
-      acc.root_max_depth[imp.max_depth] += 1;
-      acc.root_max_fanout[imp.max_fanout] += 1;
-    } else {
-      auto d = acc.root_max_depth.find(imp.max_depth);
-      if (--d->second == 0) acc.root_max_depth.erase(d);
-      auto f = acc.root_max_fanout.find(imp.max_fanout);
-      if (--f->second == 0) acc.root_max_fanout.erase(f);
-    }
-  }
-  if (add) {
-    acc.total_self_cpu += imp.total_self_cpu;
-  } else {
-    acc.total_self_cpu -= imp.total_self_cpu;
+  flip(acc.total_self_cpu, imp.total_self_cpu);
+  if (!imp.calls.empty()) {
+    count(acc.root_max_depth, imp.max_depth, add);
+    count(acc.root_max_fanout, imp.max_fanout, add);
   }
 }
 
@@ -438,7 +493,7 @@ void Report::update(const Dscg& dscg, const LogDatabase& db,
     auto it = imprints_.find(ordinal);
     if (it == imprints_.end()) return;
     cpu_changed |= !it->second->cpu_by_type.empty();
-    edges_changed |= !it->second->edges.empty();
+    edges_changed |= it->second->cross_process > 0;
     apply(*acc_, *it->second, ordinal, false);
     imprints_.erase(it);
     changed = true;
@@ -446,10 +501,10 @@ void Report::update(const Dscg& dscg, const LogDatabase& db,
   for (std::uint64_t ordinal : scope.removed_roots) subtract(ordinal);
   for (std::uint64_t ordinal : scope.affected_roots) subtract(ordinal);
   for (std::uint64_t ordinal : scope.affected_roots) {
-    auto imprint =
-        std::make_unique<Imprint>(fold_tree(*dscg.chains()[ordinal]));
+    auto imprint = std::make_unique<Imprint>(
+        fold_tree(*dscg.chains()[ordinal], acc_->scratch));
     cpu_changed |= !imprint->cpu_by_type.empty();
-    edges_changed |= !imprint->edges.empty();
+    edges_changed |= imprint->cross_process > 0;
     apply(*acc_, *imprint, ordinal, true);
     imprints_.emplace(ordinal, std::move(imprint));
     changed = true;
@@ -529,10 +584,11 @@ std::string Report::render(const Dscg& dscg, const LogDatabase& db,
     if (mode == ProbeMode::kCpu) {
       text += strf("%-40s %8s %6s %14s %14s\n", "function", "calls", "fail",
                    "self cpu us", "desc cpu us");
-      for (auto& [name, row] : acc_->functions) {
+      for (auto& [fn, row] : acc_->functions) {
         if (row.row_dirty || reformat) {
           row.rendered_row =
-              strf("%-40s %8zu %6zu %14.1f %14.1f\n", name.c_str(), row.calls,
+              strf("%-40s %8zu %6zu %14.1f %14.1f\n", join(fn.joined()).c_str(),
+                   row.calls,
                    row.failures, static_cast<double>(row.self_cpu) / 1e3,
                    static_cast<double>(row.desc_cpu) / 1e3);
           row.row_dirty = false;
@@ -542,11 +598,12 @@ std::string Report::render(const Dscg& dscg, const LogDatabase& db,
     } else {
       text += strf("%-40s %8s %6s %10s %10s %10s\n", "function", "calls",
                    "fail", "mean us", "p50 us", "p90 us");
-      for (auto& [name, row] : acc_->functions) {
+      for (auto& [fn, row] : acc_->functions) {
         if (row.row_dirty || reformat) {
-          const Summary s = summarize_multiset(row.latency);
+          const Summary s = summarize_sorted(row.latency.settle());
           row.rendered_row =
-              strf("%-40s %8zu %6zu %10.1f %10.1f %10.1f\n", name.c_str(),
+              strf("%-40s %8zu %6zu %10.1f %10.1f %10.1f\n",
+                   join(fn.joined()).c_str(),
                    row.calls, row.failures, s.mean, s.p50, s.p90);
           row.row_dirty = false;
         }
@@ -608,15 +665,23 @@ std::string Report::render(const Dscg& dscg, const LogDatabase& db,
     text.clear();
     if (!acc.slow.empty() && options.top_slowest > 0) {
       text += "\n--- slowest calls (end-to-end, overhead-corrected) ---\n";
-      std::size_t emitted = 0;
-      for (const auto& [key, count] : acc.slow) {
-        for (std::size_t i = 0; i < count; ++i) {
-          if (emitted++ >= options.top_slowest) break;
-          text += strf("%10.1f us  %s\n",
-                       static_cast<double>(key.latency) / 1e3,
-                       key.label.c_str());
+      // Merge the trees' sorted calls, worst tree first, until the next
+      // tree's slowest call could no longer make the table.  Equal keys
+      // print equal lines, so which of them is kept never shows.
+      const std::size_t n = options.top_slowest;
+      std::vector<SlowKey> top;
+      for (const auto& [head, imp] : acc.slow) {
+        if (top.size() == n && !(head.worst < top.back())) break;
+        for (std::size_t i = 0; i < imp->timed; ++i) {
+          const SlowKey& key = imp->calls[i].slow;
+          if (top.size() == n && !(key < top.back())) break;
+          top.insert(std::upper_bound(top.begin(), top.end(), key), key);
+          if (top.size() > n) top.pop_back();
         }
-        if (emitted > options.top_slowest) break;
+      }
+      for (const SlowKey& key : top) {
+        text += strf("%10.1f us  %s\n", static_cast<double>(key.latency) / 1e3,
+                     join(key.joined()).c_str());
       }
     }
     slow_cache_.rev = data_rev_;
@@ -627,10 +692,20 @@ std::string Report::render(const Dscg& dscg, const LogDatabase& db,
     std::string& text = critical_cache_.text;
     text.clear();
     if (mode == ProbeMode::kLatency && !acc.critical.empty()) {
-      // Every root folded its own worst path at update time; the section is
-      // just the head of the worst-first index.
+      // The head tree is unchanged since it was folded (any change re-folds
+      // it), so its slowest transaction is still the one the index holds.
       text += "\n--- critical path of the slowest transaction ---\n";
-      text += *acc.critical.begin()->second;
+      const ChainTree& tree = *dscg.chains()[acc.critical.begin()->ordinal];
+      const CriticalPath path = critical_path(*critical_top(tree));
+      text += path.to_string();
+      if (const CriticalStep* hot = path.dominant()) {
+        text += strf("dominant frame: %s::%s (%.1f us exclusive of %.1f us "
+                     "end-to-end)\n",
+                     sv(hot->node->interface_name).c_str(),
+                     sv(hot->node->function_name).c_str(),
+                     static_cast<double>(hot->exclusive) / 1e3,
+                     static_cast<double>(path.total()) / 1e3);
+      }
     }
     critical_cache_.rev = data_rev_;
   }
@@ -680,7 +755,7 @@ std::string Report::summary(const Dscg& dscg, const LogDatabase& db) {
   if (summary_cache_.rev == data_rev_) return summary_cache_.text;
   const Acc& acc = *acc_;
   const TopologyStats topo = topology_from(acc, dscg.chains().size());
-  const Summary latency = summarize_multiset(acc.top_latency);
+  const Summary latency = summarize_sorted(acc_->top_latency.settle());
 
   std::string out = "{";
   out += strf("\"records\":%zu,\"chains\":%zu,\"calls\":%zu,", db.size(),

@@ -11,10 +11,20 @@
 // mirroring the CCSG: update() subtracts the previous contribution of every
 // top-level tree in the scope and re-folds the current one, so per-epoch
 // cost scales with the affected trees.  All aggregation is exact (integer
-// nanoseconds, counts, sorted multisets); doubles appear only at render
-// time, which is what keeps incremental and offline output byte-identical.
-// Rendering is cached per section -- a section re-renders only when the
-// accumulators feeding it changed since the last render.
+// nanoseconds, counts, multisets); doubles appear only at render time,
+// which is what keeps incremental and offline output byte-identical.
+//
+// A fold allocates no strings.  Rows and labels are keyed by views into
+// the database's intern pool (so the report must not outlive its
+// database), ordered like the label they print as, and the label is built
+// only at render.  Latency multisets are sorted vectors with add/remove
+// logs, settled when order statistics are needed.  The slowest-calls table
+// is an index of trees by their slowest call, merged at render; the
+// critical-path section indexes each tree's slowest transaction and
+// renders the head's path from the DSCG, which is why render() takes the
+// graph the report was updated from.  Rendering is cached per section -- a
+// section re-renders only when the accumulators feeding it changed since
+// the last render.
 //
 // The free functions are the offline (one-epoch degenerate) form, and are
 // thin wrappers over the same machinery.

@@ -33,9 +33,8 @@ struct TimelineEntry {
 };
 
 // Total order over every rendered field.  Being total (no ties) is what
-// lets the incremental pipeline keep entries in an ordered multiset and
-// still render byte-identically to a from-scratch sort: equal keys render
-// equal lines, so relative order of duplicates never shows.
+// makes the rendering independent of gather order: equal keys render equal
+// lines, so relative order of duplicates never shows.
 struct TimelineOrder {
   bool operator()(const TimelineEntry& a, const TimelineEntry& b) const {
     if (a.process != b.process) return a.process < b.process;
@@ -54,7 +53,7 @@ struct TimelineOrder {
 };
 
 // Appends one top-level tree's entries (crossing into spawned chains),
-// unsorted -- the per-root unit the incremental pipeline folds.
+// unsorted.
 void gather_timeline(const ChainTree& tree, std::vector<TimelineEntry>& out);
 
 // Entries in TimelineOrder (lane by process/thread, then time).  Only calls

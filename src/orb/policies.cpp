@@ -10,10 +10,10 @@ void ThreadPerRequestPolicy::submit(RequestMessage msg) {
   }
   std::thread([this, msg = std::move(msg)]() mutable {
     serve_(std::move(msg));
-    {
-      std::lock_guard lock(mu_);
-      --active_;
-    }
+    // Notify under the lock: once active_ reaches zero, shutdown() may
+    // return and the policy (with idle_cv_) be destroyed.
+    std::lock_guard lock(mu_);
+    --active_;
     idle_cv_.notify_all();
   }).detach();
 }
