@@ -3,35 +3,31 @@
 // record stream chunked into epoch-sized segments like a streamed trace.
 //
 // Decode is timed on bytes written through TraceWriter -- so the v4 path
-// exercises the directory trailer exactly as a real file read does.  Encode
-// is timed per row under its own kernel pin (no row shares another row's
-// measurement), best + median of reps, with throughput in records/s and
-// wire GB/s.  The rows:
+// exercises the directory trailer exactly as a real file read does.  Each
+// row is timed on its own, best + median of reps, with throughput in
+// records/s and wire GB/s.  The rows:
 //
 //   v3        encode_trace + decode_trace_segments, fixed-width records
 //   v4rec     encode_trace_recmajor -- the frozen record-major writer
 //             (byte-at-a-time varint loops), the baseline the 3x columnar
 //             encode target is measured against; decode_trace_segments
-//             under the widest kernel
-//   v4        the columnar writer + decode_trace_segments, both under the
-//             widest available kernel (AVX2/SSE/NEON/SWAR) -- kept so the
-//             long-running v4-vs-v3 trajectory stays comparable
-//   v4scalar  both sides pinned to the strict scalar reference kernel --
-//             the decode baseline for the 3x column-decode target
+//   v4        the columnar writer + decode_trace_segments (record-major
+//             decode) -- kept so the long-running v4-vs-v3 trajectory stays
+//             comparable, and the baseline for the column-decode speedup
 //   v4col     the column-native pair: encode_trace_columns from decoded
-//             ColumnBundles and decode_trace_columns, widest kernel --
-//             what the publisher/collectd pipeline path runs
+//             ColumnBundles and decode_trace_columns -- what the
+//             publisher/collectd pipeline path runs
 //
 // Every v4 encode row is byte-compared against the record-major reference
-// before timing: a kernel or writer change that altered the wire bytes
-// aborts the bench rather than reporting a meaningless speedup.
+// before timing: a writer change that altered the wire bytes aborts the
+// bench rather than reporting a meaningless speedup.
 // Database ingest is excluded: it would dilute the codec comparison.
 //
 // Acceptance shape: v4 wire size >= 35% smaller than v3, v4 decode >= 2x
 // v3 (multi-core only -- the 2x rides on the trailer fanning segments out
-// across the WorkerPool), v4col decode >= 3x v4scalar decode, and v4
-// columnar encode >= 3x v4rec encode (both single-threaded: kernel +
-// column-gather gains, no parallelism involved).
+// across the WorkerPool), and v4 columnar encode >= 3x v4rec encode
+// (single-threaded: column-gather gains, no parallelism involved).  The
+// v4col-vs-v4 decode speedup is reported without a target.
 // Emits BENCH_trace_io.json in the working directory (CI invokes every
 // bench from the repo root, so artifacts land at a stable repo-root path);
 // override with --json=PATH, shrink with --calls=N, change the segment
@@ -59,7 +55,6 @@ using Clock = std::chrono::steady_clock;
 
 struct CodecResult {
   std::string name;
-  std::string kernel;  // varint kernel the row's codec ran under
   std::size_t wire_bytes{0};
   double encode_seconds{0};         // best of reps
   double encode_seconds_median{0};  // median of reps
@@ -90,13 +85,9 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
 
 enum class DecodePath { kRecords, kColumns };
 
-// Times the decode of `bytes` (best + median of reps) under `kernel`,
-// filling r.decode_*.  Restores the previously active kernel afterwards.
+// Times the decode of `bytes` (best + median of reps), filling r.decode_*.
 void time_decode(CodecResult& r, const std::vector<std::uint8_t>& bytes,
-                 std::size_t records, int reps, DecodePath path,
-                 VarintKernel kernel) {
-  const VarintKernel previous = active_varint_kernel();
-  force_varint_kernel(kernel);
+                 std::size_t records, int reps, DecodePath path) {
   std::vector<double> times;
   times.reserve(static_cast<std::size_t>(reps));
   for (int rep = 0; rep < reps; ++rep) {
@@ -117,20 +108,15 @@ void time_decode(CodecResult& r, const std::vector<std::uint8_t>& bytes,
       std::exit(1);
     }
   }
-  force_varint_kernel(previous);
   std::sort(times.begin(), times.end());
   r.decode_seconds = times.front();
   r.decode_seconds_median = times[times.size() / 2];
 }
 
-// Times `encode_all` (which returns total bytes produced) under `kernel`,
-// best + median of reps, filling r.encode_* and r.kernel.
+// Times `encode_all` (which returns total bytes produced), best + median of
+// reps, filling r.encode_*.
 template <typename EncodeAll>
-void time_encode(CodecResult& r, int reps, VarintKernel kernel,
-                 EncodeAll&& encode_all) {
-  const VarintKernel previous = active_varint_kernel();
-  force_varint_kernel(kernel);
-  r.kernel = to_string(kernel);
+void time_encode(CodecResult& r, int reps, EncodeAll&& encode_all) {
   std::vector<double> times;
   times.reserve(static_cast<std::size_t>(reps));
   for (int rep = 0; rep < reps; ++rep) {
@@ -140,7 +126,6 @@ void time_encode(CodecResult& r, int reps, VarintKernel kernel,
     times.push_back(std::chrono::duration<double>(t1 - t0).count());
     if (produced == 0) std::exit(1);
   }
-  force_varint_kernel(previous);
   std::sort(times.begin(), times.end());
   r.encode_seconds = times.front();
   r.encode_seconds_median = times[times.size() / 2];
@@ -178,13 +163,12 @@ std::vector<std::uint8_t> materialize_stream(
 void print_result(const CodecResult& r) {
   std::printf(
       "%-8s %10zu B (%5.1f B/rec) | encode %7.3f s (med %7.3f) %9.0f rec/s "
-      "%6.2f GB/s | decode %7.3f s (med %7.3f) %9.0f rec/s %6.2f GB/s "
-      "[%s]\n",
+      "%6.2f GB/s | decode %7.3f s (med %7.3f) %9.0f rec/s %6.2f GB/s\n",
       r.name.c_str(), r.wire_bytes,
       static_cast<double>(r.wire_bytes) / static_cast<double>(r.records),
       r.encode_seconds, r.encode_seconds_median, r.encode_records_per_sec(),
       r.encode_gb_per_sec(), r.decode_seconds, r.decode_seconds_median,
-      r.decode_records_per_sec(), r.decode_gb_per_sec(), r.kernel.c_str());
+      r.decode_records_per_sec(), r.decode_gb_per_sec());
 }
 
 void write_json(const std::string& path, std::size_t cores,
@@ -192,8 +176,7 @@ void write_json(const std::string& path, std::size_t cores,
                 const std::vector<CodecResult>& runs,
                 double size_reduction_pct, double decode_speedup,
                 double column_speedup, double encode_speedup, bool meets_size,
-                bool meets_decode, bool decode_applicable, bool meets_column,
-                bool meets_encode) {
+                bool meets_decode, bool decode_applicable, bool meets_encode) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -202,8 +185,7 @@ void write_json(const std::string& path, std::size_t cores,
   auto emit = [&](const CodecResult& r, const char* trailing) {
     char buf[768];
     std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"kernel\": \"%s\", "
-                  "\"wire_bytes\": %zu, "
+                  "    {\"name\": \"%s\", \"wire_bytes\": %zu, "
                   "\"bytes_per_record\": %.2f, \"encode_seconds\": %.4f, "
                   "\"encode_seconds_median\": %.4f, "
                   "\"encode_records_per_sec\": %.0f, "
@@ -214,7 +196,7 @@ void write_json(const std::string& path, std::size_t cores,
                   "\"decode_records_per_sec\": %.0f, "
                   "\"decode_mb_per_sec\": %.1f, "
                   "\"decode_gb_per_sec\": %.3f}%s\n",
-                  r.name.c_str(), r.kernel.c_str(), r.wire_bytes,
+                  r.name.c_str(), r.wire_bytes,
                   static_cast<double>(r.wire_bytes) /
                       static_cast<double>(r.records),
                   r.encode_seconds, r.encode_seconds_median,
@@ -239,18 +221,16 @@ void write_json(const std::string& path, std::size_t cores,
   std::snprintf(tail, sizeof tail,
                 "  ],\n  \"v4_size_reduction_pct\": %.1f,\n"
                 "  \"v4_decode_speedup\": %.2f,\n"
-                "  \"v4_column_decode_speedup_vs_scalar\": %.2f,\n"
+                "  \"v4_column_decode_speedup_vs_record_major\": %.2f,\n"
                 "  \"v4_column_encode_speedup_vs_recmajor\": %.2f,\n"
                 "  \"meets_35pct_size_target\": %s,\n"
                 "  \"target_2x_decode_applicable\": %s,\n"
                 "  \"meets_2x_decode_target\": %s,\n"
-                "  \"meets_3x_column_decode_target\": %s,\n"
                 "  \"meets_3x_column_encode_target\": %s\n}\n",
                 size_reduction_pct, decode_speedup, column_speedup,
                 encode_speedup, meets_size ? "true" : "false",
                 decode_applicable ? "true" : "false",
                 meets_decode ? "true" : "false",
-                meets_column ? "true" : "false",
                 meets_encode ? "true" : "false");
   out << tail;
 }
@@ -294,15 +274,12 @@ int main(int argc, char** argv) {
                           records.begin() + static_cast<long>(off + n));
     bundles.push_back(std::move(bundle));
   }
-  const VarintKernel best_kernel = active_varint_kernel();
   std::printf(
-      "=== trace codec: %zu records in %zu segments, %zu cores, "
-      "kernel %s ===\n\n",
-      records.size(), bundles.size(), cores,
-      std::string(to_string(best_kernel)).c_str());
+      "=== trace codec: %zu records in %zu segments, %zu cores ===\n\n",
+      records.size(), bundles.size(), cores);
 
   const int reps = 5;
-  std::vector<CodecResult> runs(5);
+  std::vector<CodecResult> runs(4);
 
   // Per-segment encoders as timing closures (each re-encodes the full
   // stream serially, so encode rows compare codec work, not parallelism).
@@ -335,9 +312,8 @@ int main(int argc, char** argv) {
   const auto v3_bytes = materialize_stream("v3", analysis::kTraceFormatV3,
                                            bundles, /*legacy_layout=*/true);
   v3.wire_bytes = v3_bytes.size();
-  time_encode(v3, reps, best_kernel, encode_v3_all);
-  time_decode(v3, v3_bytes, records.size(), reps, DecodePath::kRecords,
-              best_kernel);
+  time_encode(v3, reps, encode_v3_all);
+  time_decode(v3, v3_bytes, records.size(), reps, DecodePath::kRecords);
   print_result(v3);
 
   const auto v4_bytes = materialize_stream("v4", analysis::kTraceFormatV4,
@@ -359,71 +335,56 @@ int main(int argc, char** argv) {
   v4rec.name = "v4rec";
   v4rec.records = records.size();
   v4rec.wire_bytes = v4_bytes.size();
-  time_encode(v4rec, reps, best_kernel, encode_recmajor_all);
-  time_decode(v4rec, v4_bytes, records.size(), reps, DecodePath::kRecords,
-              best_kernel);
+  time_encode(v4rec, reps, encode_recmajor_all);
+  time_decode(v4rec, v4_bytes, records.size(), reps, DecodePath::kRecords);
   print_result(v4rec);
 
   CodecResult& v4 = runs[2];
   v4.name = "v4";
   v4.records = records.size();
   v4.wire_bytes = v4_bytes.size();
-  time_encode(v4, reps, best_kernel, encode_columnar_all);
-  time_decode(v4, v4_bytes, records.size(), reps, DecodePath::kRecords,
-              best_kernel);
+  time_encode(v4, reps, encode_columnar_all);
+  time_decode(v4, v4_bytes, records.size(), reps, DecodePath::kRecords);
   print_result(v4);
-
-  CodecResult& v4scalar = runs[3];
-  v4scalar.name = "v4scalar";
-  v4scalar.records = records.size();
-  v4scalar.wire_bytes = v4_bytes.size();
-  time_encode(v4scalar, reps, VarintKernel::kScalar, encode_columnar_all);
-  time_decode(v4scalar, v4_bytes, records.size(), reps, DecodePath::kRecords,
-              VarintKernel::kScalar);
-  print_result(v4scalar);
 
   // The column-native pair: encode straight from decoded ColumnBundles
   // (the publisher/collectd path -- no record-major gather at all).
-  CodecResult& v4col = runs[4];
+  CodecResult& v4col = runs[3];
   v4col.name = "v4col";
   v4col.records = records.size();
   v4col.wire_bytes = v4_bytes.size();
   const std::vector<analysis::ColumnBundle> column_bundles =
       analysis::decode_trace_columns(v4_bytes);
-  time_encode(v4col, reps, best_kernel, [&] {
+  time_encode(v4col, reps, [&] {
     std::size_t produced = 0;
     for (const auto& cols : column_bundles) {
       produced += analysis::encode_trace_columns(cols).size();
     }
     return produced;
   });
-  time_decode(v4col, v4_bytes, records.size(), reps, DecodePath::kColumns,
-              best_kernel);
+  time_decode(v4col, v4_bytes, records.size(), reps, DecodePath::kColumns);
   print_result(v4col);
 
   const double reduction =
       100.0 * (1.0 - static_cast<double>(v4.wire_bytes) /
                          static_cast<double>(v3.wire_bytes));
   const double speedup = v3.decode_seconds / v4.decode_seconds;
-  const double column_speedup = v4scalar.decode_seconds / v4col.decode_seconds;
+  const double column_speedup = v4.decode_seconds / v4col.decode_seconds;
   const double encode_speedup = v4rec.encode_seconds / v4.encode_seconds;
   const bool meets_size = reduction >= 35.0;
   const bool meets_decode = speedup >= 2.0;
-  const bool meets_column = column_speedup >= 3.0;
   const bool meets_encode = encode_speedup >= 3.0;
   // The 2x claim is about the directory trailer fanning segment decode out
   // across cores; a single-threaded host cannot express it (see header).
-  // The 3x column claims (decode and encode) are single-threaded by
-  // construction.
+  // The 3x encode claim is single-threaded by construction.
   const bool decode_applicable = cores >= 2;
   std::printf("\nv4 vs v3: %.1f%% smaller (35%% target %s), decode %.2fx "
               "(2x target %s%s)\n",
               reduction, meets_size ? "MET" : "NOT met", speedup,
               meets_decode ? "MET" : "NOT met",
               decode_applicable ? "" : "; n/a on 1 hardware thread");
-  std::printf("v4col vs v4scalar: decode %.2fx (3x target %s), %.2f GB/s\n",
-              column_speedup, meets_column ? "MET" : "NOT met",
-              v4col.decode_gb_per_sec());
+  std::printf("v4col vs v4 record-major: decode %.2fx, %.2f GB/s\n",
+              column_speedup, v4col.decode_gb_per_sec());
   std::printf("v4 columnar encode vs v4rec record-major: %.2fx "
               "(3x target %s), %.2f GB/s\n",
               encode_speedup, meets_encode ? "MET" : "NOT met",
@@ -431,7 +392,7 @@ int main(int argc, char** argv) {
 
   write_json(json_path, cores, records.size(), bundles.size(), runs,
              reduction, speedup, column_speedup, encode_speedup, meets_size,
-             meets_decode, decode_applicable, meets_column, meets_encode);
+             meets_decode, decode_applicable, meets_encode);
   std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

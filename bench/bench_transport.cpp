@@ -119,7 +119,11 @@ RunResult run(std::string name, const std::string& listen_spec, bool decode,
       if (!ok) break;
       ok = io_write_full(endpoint.fd(), segment.data(), segment.size());
     }
-    endpoint.close();
+    // Half-close and wait for the daemon's EOF: the client never reads the
+    // daemon's CWCT hello, and a bare close over it would reset the
+    // connection and lose the segments the daemon has not read yet.
+    endpoint.close_gracefully(
+        std::chrono::milliseconds(kFramingDeadline).count());
     if (!ok) {
       std::fprintf(stderr, "FATAL: socket write failed\n");
       std::exit(1);

@@ -4,13 +4,13 @@
 // A v4 segment is columnar on the wire (analysis/trace_io.h); ColumnBundle
 // is the same shape in memory: one contiguous vector per record field, runs
 // of consecutive same-chain records carrying their chain UUID once, string
-// ids still unresolved against the segment's deduplicated table.  The batch
-// varint kernels (common/wire.h) decode straight into these vectors, and
-// LogDatabase::ingest(const ColumnBundle&) scatters them straight into the
-// per-shard synthesis state -- no intermediate 168-byte TraceRecord staging
-// array is ever built on the pipeline path.  The write side is symmetric:
+// ids still unresolved against the segment's deduplicated table.  The
+// batch varint column calls (common/wire.h) decode straight into these
+// vectors, and LogDatabase::ingest(const ColumnBundle&) scatters them
+// straight into the per-shard synthesis state -- no intermediate 168-byte
+// TraceRecord staging array is ever built on the pipeline path.  The write side is symmetric:
 // encode_trace_columns() turns a bundle back into segment bytes through the
-// same batch kernels (relays re-pack without ever assembling records), and
+// same column calls (relays re-pack without ever assembling records), and
 // the result is byte-identical to encoding the assembled record stream.  The record-major
 // CollectedLogs form still exists for v2/v3 segments and for callers that
 // want assembled records (decode_trace_segments); both ingest paths produce

@@ -166,8 +166,8 @@ constexpr std::uint8_t pack_flags1(const monitor::TraceRecord& r) {
 // The frozen record-major v4 writer: per-record interleaved write_varint
 // loops, exactly as the encoder stood before the columnar rewrite
 // (DESIGN.md Sec. 15).  LEB128 is canonical, so the columnar writer below
-// must reproduce this function's output byte for byte -- ctest enforces it
-// under every kernel; bench_trace_io measures the speedup against it.
+// must reproduce this function's output byte for byte -- ctest enforces it;
+// bench_trace_io measures the speedup against it.
 std::vector<std::uint8_t> encode_trace_v4_recmajor(
     const monitor::CollectedLogs& logs) {
   StringTable table;
@@ -270,11 +270,11 @@ std::vector<std::uint8_t> encode_trace_v4_recmajor(
 // ---------------------------------------------------------------------------
 // Columnar v4 writer (DESIGN.md Sec. 15).  The segment is built column
 // first: one gather pass turns records into contiguous u64/u8 columns, the
-// SIMD transform passes (common/wire.h) delta/zig-zag them in place, and
+// column transform passes (common/wire.h) delta/zig-zag them in place, and
 // emit_segment_v4 streams every dense column through the batched varint
-// encode kernels.  Byte-identical to encode_trace_v4_recmajor by
+// column writer.  Byte-identical to encode_trace_v4_recmajor by
 // construction: same intern order, same per-run delta bases, and canonical
-// LEB128 from every kernel.
+// LEB128.
 
 // Hash interner for the gather pass.  The reference StringTable (std::map)
 // stays with the frozen writers; first-encounter id assignment is what
@@ -409,8 +409,8 @@ std::vector<std::uint8_t> emit_segment_columnar(const SegmentColumns& c,
   } else {
     // v5: the same thirteen dense columns in the same order, each wrapped
     // in a column block (optionally deflated when the block wins).  The
-    // column *payloads* are byte-identical to v4 -- same kernels, same
-    // canonical LEB128 -- so a v5 reader recovers exactly the v4 column
+    // column *payloads* are byte-identical to v4 -- same column writer,
+    // same canonical LEB128 -- so a v5 reader recovers exactly the v4 column
     // bytes before handing them to the shared decoders.
     WireBuffer col;
     auto emit_varints = [&](const std::uint64_t* values, std::size_t n) {
@@ -462,7 +462,7 @@ void transform_columns(SegmentColumns& c) {
 }
 
 // Column-first v4/v5 body: one gather pass (intern + widen + pack flags +
-// run detection), the SIMD transform passes, then batched emission.
+// run detection), the column transform passes, then batched emission.
 std::vector<std::uint8_t> encode_trace_columnar(
     const monitor::CollectedLogs& logs, std::uint32_t version) {
   SegmentColumns c;
@@ -867,12 +867,12 @@ monitor::CollectedLogs decode_segment_v2v3(WireCursor& in,
 // Decodes one v4 columnar segment body (cursor past magic + version + body
 // length, spanning exactly the body) into column form: the record section
 // stays columnar end to end -- every dense column decodes in one batched
-// kernel pass (common/wire.h), runs keep the chain UUID once, string ids
+// column call (common/wire.h), runs keep the chain UUID once, string ids
 // stay unresolved table indexes.  No record-major assembly happens here;
 // ingest scatters the columns straight into the shards, and callers that
-// want records assemble via assemble_logs below.  Validation order and
-// error text are independent of the active kernel: every non-well-formed
-// byte sequence routes through the shared strict scalar decoder.
+// want records assemble via assemble_logs below.  Every byte sequence
+// routes through the shared strict decoder, so varint errors read the same
+// as in the record-major decoders.
 ColumnBundle decode_segment_v4_columns(WireCursor& in,
                                        std::uint32_t version) {
   // v5 wraps each dense column in a column block (common/wire.h): the
@@ -971,7 +971,7 @@ ColumnBundle decode_segment_v4_columns(WireCursor& in,
 
   // seq: one batched zig-zag decode of the whole column, then a run-aware
   // prefix sum in place (deltas restart at every run boundary -- which is
-  // why the kernels leave accumulation to the caller).
+  // why the column calls leave accumulation to the caller).
   cols.seq.resize(count);
   {
     WireCursor& cin = col_begin(count * 10);
@@ -1061,8 +1061,8 @@ ColumnBundle decode_segment_v4_columns(WireCursor& in,
   read_id_column(cols.type);
   read_u64_column(cols.thread_ordinal);
 
-  // Timestamp columns: batched zig-zag decode, then the SIMD prefix-sum
-  // pass (start) and the start-relative reconstruction (end).
+  // Timestamp columns: batched zig-zag decode, then the prefix-sum pass
+  // (start) and the start-relative reconstruction (end).
   read_s64_column(cols.value_start);
   prefix_sum_column(cols.value_start.data(), count);
   read_s64_column(cols.value_end);
@@ -1360,8 +1360,7 @@ constexpr std::size_t kParallelEncodeMinRecords = 2048;
 
 // Packs one segment per input index -- on the shared WorkerPool when there
 // is enough work -- committing results in input order.  Each segment's
-// bytes depend only on its own input (kernel choice never changes output),
-// so the result is byte-identical to a serial loop across worker counts.
+// bytes depend only on its own input, so the result is byte-identical to a serial loop across worker counts.
 template <typename EncodeOne>
 std::vector<std::vector<std::uint8_t>> encode_stream_impl(
     std::size_t bundles, std::size_t total_records, EncodeOne&& encode_one) {

@@ -112,8 +112,8 @@ std::vector<std::uint8_t> encode_trace_recmajor(
     std::uint32_t version = kTraceFormatDefault);
 
 // ColumnBundle-native columnar encode (v4 or v5): collector/decoder columns
-// go straight to wire bytes -- batched varint emission, SIMD delta/zig-zag
-// transform passes, no record-major round trip.  The bundle's string table
+// go straight to wire bytes -- batched varint emission, delta/zig-zag
+// column transform passes, no record-major round trip.  The bundle's string table
 // is emitted verbatim (ids already assigned), so a v4 decode -> v4 encode
 // round trip reproduces the original segment byte for byte (and a
 // v4 <-> v5 transcode round trip reproduces the v4 bytes).  Throws
@@ -126,7 +126,7 @@ std::vector<std::uint8_t> encode_trace_columns(
 // Multi-segment encode: one segment per bundle, packed concurrently on the
 // shared WorkerPool when there is enough work, results committed in input
 // order -- so the concatenation (and every segment) is byte-identical to a
-// serial encode loop, across kernels and worker counts.
+// serial encode loop, across worker counts.
 std::vector<std::vector<std::uint8_t>> encode_trace_stream(
     std::span<const monitor::CollectedLogs> bundles,
     std::uint32_t version = kTraceFormatDefault);
@@ -148,7 +148,7 @@ std::vector<monitor::CollectedLogs> decode_trace_segments(
     std::span<const std::uint8_t> bytes);
 
 // Column-form staging for v4 traces: every segment decoded into a
-// ColumnBundle (batch varint kernels, no record-major assembly), in
+// ColumnBundle (batch varint column calls, no record-major assembly), in
 // segment order.  LogDatabase/AnalysisPipeline ingest bundles directly --
 // skim -> column decode -> per-shard scatter, no staging record array.
 // Throws TraceIoError if any segment is not v4 (v2/v3 have no column

@@ -29,45 +29,25 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// The batch column decoders (WireCursor::read_varint_column and friends)
-// and encoders (WireBuffer::write_varint_column and friends) dispatch to
-// one of these kernels, resolved once per process: the widest variant the
-// build compiled in (CAUSEWAY_SIMD) *and* the CPU supports, overridable
-// with CAUSEWAY_KERNEL=scalar|swar|sse|avx2|neon or force_varint_kernel()
-// (tests and benches pin variants to compare them).  Every kernel decodes
-// the same bytes to the same values and raises the same WireError text at
-// the same byte -- the strict scalar decoder is the single source of truth
-// that every fast path falls back to for anything but well-formed
-// in-bounds runs.  On the write side the contract is even simpler: LEB128
-// is canonical, so every kernel emits byte-identical output.
+// The column codec's name, recorded by benches next to their numbers.  One
+// codec remains: the strict per-value LEB128 loops below.  Word-at-a-time
+// (SWAR) and SSE/AVX2/NEON kernels were measured against it end to end and
+// removed, so there is nothing left to select.
 enum class VarintKernel : std::uint8_t {
-  kScalar = 0,  // one strict LEB128 decode per value (the reference)
-  kSwar = 1,    // 8-byte word-at-a-time, portable C++
-  kSse = 2,     // 16-byte blocks (SSE4.1), x86-64 only
-  kAvx2 = 3,    // 32-byte blocks (AVX2), x86-64 only
-  kNeon = 4,    // 16-byte blocks, AArch64 only
+  kScalar = 0,  // one strict LEB128 decode / canonical encode per value
 };
 
 std::string_view to_string(VarintKernel kernel);
 
-// True when the kernel is compiled in and the running CPU supports it
-// (kScalar and kSwar always are).
-bool varint_kernel_available(VarintKernel kernel);
-
-// The kernel batch decodes currently dispatch to.
+// The codec the column calls use: always kScalar.
 VarintKernel active_varint_kernel();
-
-// Pins the dispatch (kernel must be available; throws WireError otherwise).
-// Tests use this to run the same decode under every variant.
-void force_varint_kernel(VarintKernel kernel);
 
 namespace wire_detail {
 
 // Strict LEB128 decode -- THE definition of what this codebase accepts.
-// WireCursor::read_varint and every batch kernel's non-fast-path route
-// through here, so truncation ("wire underflow") and overlong rejection
-// ("varint overlong") behave and read identically no matter which kernel
-// decoded the surrounding column.
+// WireCursor::read_varint and the column decoders both route through here,
+// so truncation ("wire underflow") and overlong rejection ("varint
+// overlong") behave and read identically for single values and columns.
 inline std::uint64_t decode_varint_strict(const std::uint8_t* data,
                                           std::size_t end, std::size_t& pos) {
   // Fast path: single-byte values dominate delta/id columns.
@@ -100,11 +80,8 @@ constexpr std::int64_t zigzag_decode(std::uint64_t z) {
 
 // In-place batched transforms over whole columns -- the delta/zig-zag
 // passes the v4 codec runs before varint emission (encode) and after
-// varint decode.  Dispatched like the varint kernels (AVX2 when active,
-// scalar otherwise), but every variant is exact integer math, so results
-// are bit-identical under every kernel -- the differential test enforces
-// it.  All arithmetic is two's-complement wrapping (done in uint64), never
-// signed overflow.
+// varint decode.  All arithmetic is two's-complement wrapping (done in
+// uint64), never signed overflow.
 //
 //   zigzag_encode_column  each int64 (carried as its uint64 bit pattern)
 //                         becomes its zig-zag mapping
@@ -151,12 +128,9 @@ class WireBuffer {
   void write_svarint(std::int64_t v) { write_varint(zigzag_encode(v)); }
 
   // Bulk LEB128 encode: appends exactly the bytes n write_varint() calls
-  // would, but batched through the active varint kernel -- runs of short
-  // values pack a word (SWAR) or a vector register (SSE/AVX2/NEON) at a
-  // time into a size-bounded scratch block before landing in the buffer.
-  // LEB128 is canonical (each value has exactly one encoding), so kernel
-  // choice can never change the bytes; the differential test and the
-  // forced-kernel ctest legs enforce it.  Defined in wire.cpp.
+  // would.  LEB128 is canonical (each value has exactly one encoding), so
+  // the column and per-value forms are byte-identical; wire_kernel_test
+  // checks it.  Defined in wire.cpp.
   void write_varint_column(const std::uint64_t* values, std::size_t n);
 
   // Bulk zig-zag encode: n svarints (no delta folding; callers own the
@@ -243,13 +217,9 @@ class WireCursor {
   std::int64_t read_svarint() { return zigzag_decode(read_varint()); }
 
   // Bulk LEB128 decode: exactly `n` varints into out[0..n), equivalent to n
-  // read_varint() calls but dispatched to the active batch kernel (SWAR /
-  // SSE / AVX2 / NEON), which decodes runs of short varints a word or a
-  // vector register at a time.  Bounds handling and error text are
-  // byte-identical to the scalar loop by construction: fast paths only
-  // consume well-formed in-bounds runs, everything else (truncation,
-  // overlong encodings, 9-10 byte values) routes through the shared strict
-  // decoder.  Defined in wire.cpp.
+  // read_varint() calls -- each value goes through the shared strict
+  // decoder, so bounds handling and error text are the same.  Defined in
+  // wire.cpp.
   void read_varint_column(std::uint64_t* out, std::size_t n);
 
   // Bulk zig-zag decode: n svarints into out[0..n) (no delta accumulation;

@@ -24,8 +24,8 @@
 // each span that passes the window and `where` filters straight into its
 // group.  Results are deterministic: group rows are emitted in sorted key
 // order, and percentiles are nearest-rank over the fully sorted latency
-// vector, so worker count, shard count, compression, and varint kernel
-// never change a byte of output.
+// vector, so worker count, shard count, and compression never change a
+// byte of output.
 #pragma once
 
 #include <optional>

@@ -1,6 +1,8 @@
 #include "transport/endpoint.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -135,6 +137,34 @@ void StreamEndpoint::close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+bool StreamEndpoint::close_gracefully(std::uint64_t timeout_ms) {
+  if (fd_ < 0) return true;
+  bool eof = false;
+  if (::shutdown(fd_, SHUT_WR) == 0) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    std::uint8_t discard[4096];
+    for (;;) {
+      const long got = ::recv(fd_, discard, sizeof(discard), MSG_DONTWAIT);
+      if (got == 0) {
+        eof = true;
+        break;
+      }
+      if (got > 0) continue;
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) break;
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) break;
+      pollfd pfd{fd_, POLLIN, 0};
+      ::poll(&pfd, 1, static_cast<int>(std::min<long long>(left.count(),
+                                                           1000)));
+    }
+  }
+  close();
+  return eof;
 }
 
 StreamEndpoint connect_endpoint(const EndpointAddress& address,

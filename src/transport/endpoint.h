@@ -81,6 +81,14 @@ class StreamEndpoint {
   }
   void set_blocking(bool blocking);
   void close();
+  // Graceful close for a writer that is done: half-closes the write side
+  // (the peer reads EOF after every byte already sent), reads and discards
+  // until the peer closes its end or `timeout_ms` passes, then closes.
+  // A plain close() with unread bytes in the receive queue -- say, a
+  // control frame the writer never read -- makes TCP send RST, and the
+  // peer's kernel then discards whatever it had not yet read of this
+  // stream.  Returns true when the peer's EOF arrived in time.
+  bool close_gracefully(std::uint64_t timeout_ms);
 
  private:
   int fd_{-1};

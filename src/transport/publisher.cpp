@@ -152,7 +152,7 @@ void EpochPublisher::drain_once(bool final_drain) {
   // process that logged nothing.
   if (!final_drain && logs.records.empty() && logs.dropped == 0) return;
   // encode_trace gathers the drained records into columns and emits them
-  // through the batch varint write kernels -- the publisher's per-epoch
+  // through the batch varint column writer -- the publisher's per-epoch
   // encode cost is the columnar writer's, not a per-record byte loop.
   const std::uint64_t records = logs.records.size();
   uplink_.offer_segment(analysis::encode_trace(logs, trace_format_), records);

@@ -205,7 +205,11 @@ void Uplink::run() {
       front_offset_ = 0;
     }
   }
-  endpoint_.close();
+  // Half-close and drain instead of a bare close: a CWCT the daemon sent
+  // after our last read would otherwise sit unread, and closing over it
+  // resets the connection, discarding the tail the daemon has not read.
+  const std::uint64_t now = steady_ms();
+  endpoint_.close_gracefully(deadline > now ? deadline - now : 0);
   connected_.store(false, std::memory_order_relaxed);
 }
 

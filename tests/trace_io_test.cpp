@@ -717,11 +717,10 @@ TEST(TraceIo, GoldenV4ReencodesByteIdentically) {
   EXPECT_EQ(reencoded, original) << "v4 encoder no longer byte-stable";
 }
 
-TEST(TraceIo, GoldenV4DecodesIdenticallyAcrossAllKernels) {
-  // Cross-kernel pin on the committed fixture: every available varint
-  // kernel (scalar reference, SWAR, and whatever SIMD the build machine
-  // has) must decode the golden trace to the same records and render the
-  // same characterization report.
+TEST(TraceIo, GoldenV4ColumnDecodeMatchesRecordDecode) {
+  // The committed fixture decoded column-at-a-time (the path collectd and
+  // causeway-analyze take) must render the same characterization report
+  // as the record-at-a-time decode of the same bytes.
   const std::string golden =
       std::string(CAUSEWAY_TEST_DATA_DIR) + "/golden_v4.cwt";
   std::ifstream in(golden, std::ios::binary);
@@ -730,34 +729,23 @@ TEST(TraceIo, GoldenV4DecodesIdenticallyAcrossAllKernels) {
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   ASSERT_FALSE(original.empty());
 
-  const VarintKernel previous = active_varint_kernel();
-  std::string reference;
-  for (VarintKernel kernel :
-       {VarintKernel::kScalar, VarintKernel::kSwar, VarintKernel::kSse,
-        VarintKernel::kAvx2, VarintKernel::kNeon}) {
-    if (!varint_kernel_available(kernel)) continue;
-    force_varint_kernel(kernel);
-    LogDatabase db;
-    for (const ColumnBundle& cols : decode_trace_columns(original)) {
-      db.ingest(cols);
-    }
-    auto dscg = Dscg::build(db);
-    std::string report = characterization_report(dscg, db);
-    if (reference.empty()) {
-      reference = std::move(report);
-    } else {
-      EXPECT_EQ(report, reference)
-          << "kernel " << std::string(to_string(kernel));
-    }
+  LogDatabase by_column;
+  for (const ColumnBundle& cols : decode_trace_columns(original)) {
+    by_column.ingest(cols);
   }
-  force_varint_kernel(previous);
-  EXPECT_FALSE(reference.empty());
+  LogDatabase by_record;
+  decode_trace(original, by_record);
+  ASSERT_GT(by_column.size(), 0u);
+  auto dscg_column = Dscg::build(by_column);
+  auto dscg_record = Dscg::build(by_record);
+  EXPECT_EQ(characterization_report(dscg_column, by_column),
+            characterization_report(dscg_record, by_record));
 }
 
-TEST(TraceIo, GoldenV4ColumnReencodeByteIdenticalAcrossKernels) {
-  // The write-side cross-kernel pin: decode the committed fixture to
-  // column bundles, re-encode them through encode_trace_columns under
-  // every available kernel, and require the exact original file back.
+TEST(TraceIo, GoldenV4ColumnReencodeByteIdentical) {
+  // The write-side pin: decode the committed fixture to column bundles,
+  // re-encode them through encode_trace_columns, and require the exact
+  // original file back.
   const std::string golden =
       std::string(CAUSEWAY_TEST_DATA_DIR) + "/golden_v4.cwt";
   std::ifstream in(golden, std::ios::binary);
@@ -769,36 +757,24 @@ TEST(TraceIo, GoldenV4ColumnReencodeByteIdenticalAcrossKernels) {
   const std::vector<ColumnBundle> bundles = decode_trace_columns(original);
   ASSERT_FALSE(bundles.empty());
 
-  const VarintKernel previous = active_varint_kernel();
-  for (VarintKernel kernel :
-       {VarintKernel::kScalar, VarintKernel::kSwar, VarintKernel::kSse,
-        VarintKernel::kAvx2, VarintKernel::kNeon}) {
-    if (!varint_kernel_available(kernel)) continue;
-    force_varint_kernel(kernel);
-    const auto path = std::filesystem::temp_directory_path() /
-                      "causeway_golden_v4_col.cwt";
-    {
-      TraceWriter writer(path.string(), kTraceFormatV4);
-      for (const ColumnBundle& cols : bundles) writer.append(cols);
-      writer.close();
-    }
-    std::ifstream re(path, std::ios::binary);
-    const std::vector<std::uint8_t> reencoded(
-        (std::istreambuf_iterator<char>(re)),
-        std::istreambuf_iterator<char>());
-    std::filesystem::remove(path);
-    EXPECT_EQ(reencoded, original)
-        << "column re-encode not byte-stable under kernel "
-        << std::string(to_string(kernel));
+  const auto path = std::filesystem::temp_directory_path() /
+                    "causeway_golden_v4_col.cwt";
+  {
+    TraceWriter writer(path.string(), kTraceFormatV4);
+    for (const ColumnBundle& cols : bundles) writer.append(cols);
+    writer.close();
   }
-  force_varint_kernel(previous);
+  std::ifstream re(path, std::ios::binary);
+  const std::vector<std::uint8_t> reencoded(
+      (std::istreambuf_iterator<char>(re)), std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  EXPECT_EQ(reencoded, original) << "column re-encode not byte-stable";
 }
 
 TEST(TraceIo, GoldenV5DecodesToSameReportAsGoldenV4) {
   // The committed v5 fixture is the same workload as the v4 one
   // (synthetic causality, --transactions=6 --seed=99) re-encoded with
-  // per-column blocks; both must analyze to the identical report, under
-  // every available kernel.
+  // per-column blocks; both must analyze to the identical report.
   const std::string golden4 =
       std::string(CAUSEWAY_TEST_DATA_DIR) + "/golden_v4.cwt";
   const std::string golden5 =
@@ -823,25 +799,14 @@ TEST(TraceIo, GoldenV5DecodesToSameReportAsGoldenV4) {
     auto dscg = Dscg::build(db);
     return characterization_report(dscg, db);
   };
-  const std::string reference = report_of(v4);
-
-  const VarintKernel previous = active_varint_kernel();
-  for (VarintKernel kernel :
-       {VarintKernel::kScalar, VarintKernel::kSwar, VarintKernel::kSse,
-        VarintKernel::kAvx2, VarintKernel::kNeon}) {
-    if (!varint_kernel_available(kernel)) continue;
-    force_varint_kernel(kernel);
-    EXPECT_EQ(report_of(v5), reference)
-        << "kernel " << std::string(to_string(kernel));
-  }
-  force_varint_kernel(previous);
+  EXPECT_EQ(report_of(v5), report_of(v4));
 }
 
-TEST(TraceIo, GoldenV5ReencodesByteIdenticallyAcrossKernels) {
+TEST(TraceIo, GoldenV5ReencodesByteIdentically) {
   // Byte-stability pin for the v5 encoder: decode the committed fixture
-  // to column bundles and re-encode them at v5 under every kernel -- the
-  // exact file must come back.  (The column payloads are the v4 kernel
-  // bytes; the deflate layer on top is deterministic for a fixed zlib.)
+  // to column bundles and re-encode them at v5 -- the exact file must come
+  // back.  (The column payloads are the v4 varint bytes; the deflate layer
+  // on top is deterministic for a fixed zlib.)
   const std::string golden =
       std::string(CAUSEWAY_TEST_DATA_DIR) + "/golden_v5.cwt";
   std::ifstream in(golden, std::ios::binary);
@@ -856,29 +821,18 @@ TEST(TraceIo, GoldenV5ReencodesByteIdenticallyAcrossKernels) {
   const std::vector<ColumnBundle> bundles = decode_trace_columns(original);
   ASSERT_FALSE(bundles.empty());
 
-  const VarintKernel previous = active_varint_kernel();
-  for (VarintKernel kernel :
-       {VarintKernel::kScalar, VarintKernel::kSwar, VarintKernel::kSse,
-        VarintKernel::kAvx2, VarintKernel::kNeon}) {
-    if (!varint_kernel_available(kernel)) continue;
-    force_varint_kernel(kernel);
-    const auto path = std::filesystem::temp_directory_path() /
-                      "causeway_golden_v5_re.cwt";
-    {
-      TraceWriter writer(path.string(), kTraceFormatV5);
-      for (const ColumnBundle& cols : bundles) writer.append(cols);
-      writer.close();
-    }
-    std::ifstream re(path, std::ios::binary);
-    const std::vector<std::uint8_t> reencoded(
-        (std::istreambuf_iterator<char>(re)),
-        std::istreambuf_iterator<char>());
-    std::filesystem::remove(path);
-    EXPECT_EQ(reencoded, original)
-        << "v5 re-encode not byte-stable under kernel "
-        << std::string(to_string(kernel));
+  const auto path =
+      std::filesystem::temp_directory_path() / "causeway_golden_v5_re.cwt";
+  {
+    TraceWriter writer(path.string(), kTraceFormatV5);
+    for (const ColumnBundle& cols : bundles) writer.append(cols);
+    writer.close();
   }
-  force_varint_kernel(previous);
+  std::ifstream re(path, std::ios::binary);
+  const std::vector<std::uint8_t> reencoded(
+      (std::istreambuf_iterator<char>(re)), std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  EXPECT_EQ(reencoded, original) << "v5 re-encode not byte-stable";
 }
 #endif
 
@@ -908,34 +862,6 @@ TEST(TraceIo, V5RoundTripMatchesV4Decode) {
   auto dscg5 = Dscg::build(db5);
   EXPECT_EQ(characterization_report(dscg5, db5),
             characterization_report(dscg4, db4));
-}
-
-TEST(TraceIo, V5EncodeIsByteStableAcrossKernels) {
-  workload::LogSynthConfig config;
-  config.total_calls = 800;
-  LogDatabase source;
-  workload::synthesize_logs(config, source);
-  monitor::CollectedLogs logs;
-  logs.epoch = 1;
-  logs.records = source.records();
-
-  const VarintKernel previous = active_varint_kernel();
-  std::vector<std::uint8_t> reference;
-  for (VarintKernel kernel :
-       {VarintKernel::kScalar, VarintKernel::kSwar, VarintKernel::kSse,
-        VarintKernel::kAvx2, VarintKernel::kNeon}) {
-    if (!varint_kernel_available(kernel)) continue;
-    force_varint_kernel(kernel);
-    auto bytes = encode_trace(logs, kTraceFormatV5);
-    if (reference.empty()) {
-      reference = std::move(bytes);
-    } else {
-      EXPECT_EQ(bytes, reference)
-          << "kernel " << std::string(to_string(kernel));
-    }
-  }
-  force_varint_kernel(previous);
-  EXPECT_FALSE(reference.empty());
 }
 
 TEST(TraceIo, ColumnBlockRoundTripsRawAndDeflated) {
@@ -1099,9 +1025,8 @@ TEST(TraceIo, CheckpointedCloseReadsLikeUncheckpointed) {
 
 TEST(TraceIo, ColumnarEncodeMatchesRecmajorReference) {
   // The tentpole byte-identity contract: the columnar v4 writer must
-  // reproduce the frozen record-major writer's bytes exactly, under every
-  // available kernel, on a workload big enough to exercise every vector
-  // block width and the mixed-magnitude fallbacks.
+  // reproduce the frozen record-major writer's bytes exactly, on a
+  // workload with mixed-magnitude columns.
   workload::LogSynthConfig config;
   config.total_calls = 3'000;
   LogDatabase source;
@@ -1111,17 +1036,8 @@ TEST(TraceIo, ColumnarEncodeMatchesRecmajorReference) {
   logs.epoch = 12;
   logs.dropped = 3;
 
-  const auto reference = encode_trace_recmajor(logs, kTraceFormatV4);
-  const VarintKernel previous = active_varint_kernel();
-  for (VarintKernel kernel :
-       {VarintKernel::kScalar, VarintKernel::kSwar, VarintKernel::kSse,
-        VarintKernel::kAvx2, VarintKernel::kNeon}) {
-    if (!varint_kernel_available(kernel)) continue;
-    force_varint_kernel(kernel);
-    EXPECT_EQ(encode_trace(logs, kTraceFormatV4), reference)
-        << "kernel " << std::string(to_string(kernel));
-  }
-  force_varint_kernel(previous);
+  EXPECT_EQ(encode_trace(logs, kTraceFormatV4),
+            encode_trace_recmajor(logs, kTraceFormatV4));
 
   // v3 is untouched by the columnar writer: both entry points emit the
   // same record-major bytes.
@@ -1280,12 +1196,12 @@ TEST(TraceIo, DecodeTraceColumnsRejectsRecordMajorFormats) {
   EXPECT_THROW(decode_trace_columns(bytes), TraceIoError);
 }
 
-TEST(TraceIo, CorruptSegmentErrorTextIsKernelIndependent) {
+TEST(TraceIo, CorruptSegmentErrorText) {
   // The overlong-varint and underflow rejections live in one strict
-  // decoder shared by every kernel, so the error a corrupt segment raises
-  // must not depend on which kernel decoded it.  Two corpses: a truncated
-  // trailing column varint (underflow) and a hand-built segment whose
-  // object-key column holds an overlong ten-byte encoding.
+  // decoder shared by single reads and column reads, and a corrupt segment
+  // reports them by name.  Two corpses: a truncated trailing column varint
+  // (underflow) and a hand-built segment whose object-key column holds an
+  // overlong ten-byte encoding.
   auto truncated = encode_trace(sample_logs(), kTraceFormatV4);
   truncated.back() |= 0x80;
 
@@ -1322,7 +1238,6 @@ TEST(TraceIo, CorruptSegmentErrorTextIsKernelIndependent) {
   seg.overwrite_u64(length_at, seg.size() - body);
   const std::vector<std::uint8_t> overlong = seg.bytes();
 
-  const VarintKernel previous = active_varint_kernel();
   auto error_text = [](const std::vector<std::uint8_t>& bytes) {
     LogDatabase db;
     try {
@@ -1332,28 +1247,10 @@ TEST(TraceIo, CorruptSegmentErrorTextIsKernelIndependent) {
     }
     return std::string("(no error)");
   };
-  std::string truncated_text, overlong_text;
-  for (VarintKernel kernel :
-       {VarintKernel::kScalar, VarintKernel::kSwar, VarintKernel::kSse,
-        VarintKernel::kAvx2, VarintKernel::kNeon}) {
-    if (!varint_kernel_available(kernel)) continue;
-    force_varint_kernel(kernel);
-    const std::string t = error_text(truncated);
-    const std::string o = error_text(overlong);
-    EXPECT_NE(t, "(no error)");
-    EXPECT_TRUE(o.find("varint overlong") != std::string::npos)
-        << o << " under kernel " << std::string(to_string(kernel));
-    if (truncated_text.empty()) {
-      truncated_text = t;
-      overlong_text = o;
-    } else {
-      EXPECT_EQ(t, truncated_text)
-          << "kernel " << std::string(to_string(kernel));
-      EXPECT_EQ(o, overlong_text)
-          << "kernel " << std::string(to_string(kernel));
-    }
-  }
-  force_varint_kernel(previous);
+  const std::string t = error_text(truncated);
+  const std::string o = error_text(overlong);
+  EXPECT_TRUE(t.find("wire underflow") != std::string::npos) << t;
+  EXPECT_TRUE(o.find("varint overlong") != std::string::npos) << o;
 }
 
 TEST(TraceIo, LargeStreamRoundTrip) {

@@ -31,6 +31,7 @@
 #include "transport/protocol.h"
 #include "transport/publisher.h"
 #include "transport/subscriber.h"
+#include "workload/logsynth.h"
 #include "workload/synthetic.h"
 
 namespace causeway {
@@ -123,6 +124,9 @@ class RawClient {
     return io_write_full(endpoint_.fd(), bytes.data(), bytes.size());
   }
   void close() { endpoint_.close(); }
+  bool close_gracefully(std::uint64_t timeout_ms) {
+    return endpoint_.close_gracefully(timeout_ms);
+  }
 
  private:
   transport::StreamEndpoint endpoint_;
@@ -684,6 +688,48 @@ TEST_P(TransportSocketTest, PartialFrameDiscardedOnAbruptClose) {
   EXPECT_EQ(sink.unclean_disconnects, 1);
   EXPECT_EQ(daemon.stats().protocol_errors, 0u);  // torn != corrupt
   EXPECT_GT(daemon.stats().partial_tail_bytes, 0u);
+}
+
+// A writer that never reads -- so the daemon's CWCT hello sits unread in
+// its receive queue -- and closes right after its last segment must still
+// deliver every segment.  A bare close() over unread bytes resets the
+// connection, and the daemon's kernel then discards whatever of the
+// stream the daemon had not read yet; the graceful close half-closes,
+// drains the hello, and waits for the daemon's EOF instead.
+TEST_P(TransportSocketTest, NonReadingWriterDeliversEverySegment) {
+  RecordingSink sink;
+  CollectorDaemon daemon({{listen_spec("noread")}, 0}, sink);
+  daemon.start();
+
+  analysis::LogDatabase source;
+  workload::LogSynthConfig synth;
+  synth.total_calls = 2000;
+  workload::synthesize_logs(synth, source);
+  monitor::CollectedLogs logs;
+  logs.records = source.records();
+  const std::vector<std::uint8_t> segment = analysis::encode_trace(logs);
+  constexpr std::uint64_t kSegments = 64;
+
+  RawClient client(bound_address(daemon));
+  ASSERT_TRUE(client.connected());
+  Handshake hs;
+  hs.process_name = "never-reads";
+  ASSERT_GE(hs.protocol, 2u);  // the daemon answers with a CWCT hello
+  ASSERT_TRUE(client.send(transport::encode_handshake(hs)));
+  for (std::uint64_t i = 0; i < kSegments; ++i) {
+    ASSERT_TRUE(client.send(segment));
+  }
+  EXPECT_TRUE(client.close_gracefully(10000));
+
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard lk(sink.mu);
+    return sink.disconnects == 1;
+  }));
+  daemon.stop();
+  EXPECT_EQ(sink.segments_seen(), kSegments);
+  EXPECT_EQ(sink.records_seen(), kSegments * logs.records.size());
+  EXPECT_EQ(sink.unclean_disconnects, 0);
+  EXPECT_EQ(daemon.stats().partial_tail_bytes, 0u);
 }
 
 // Daemon restart: the publisher reconnects with backoff, re-handshakes,

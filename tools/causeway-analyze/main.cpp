@@ -31,8 +31,8 @@
 // --reencode=PATH is a second maintenance mode: the (single, v4) input
 // trace is decoded to column bundles and re-encoded segment-by-segment
 // through the columnar writer into PATH.  The output is byte-identical to
-// the input for any well-formed closed v4 trace -- the CI forced-kernel
-// legs compare the files to pin the write-side kernel contract.
+// the input for any well-formed closed v4 trace -- ctest compares the files
+// (tool_reencode_roundtrip_identical) to pin the writer's canonical bytes.
 // --reencode-serial forces the serial per-segment loop (no WorkerPool), so
 // the same comparison also pins worker-count invariance.
 #include <chrono>
